@@ -3,8 +3,9 @@
 # pinned-seed chaos runs, the metrics- and trace-determinism gates, the
 # enterprise scenario gate (revocation/rotation oracles + registry
 # determinism), the concurrency gate (sharded-vs-single-lock byte
-# equivalence + the contention-bench throughput floor), and the bench
-# ablations with their BENCH_*.json validation.
+# equivalence + the contention-bench throughput floor), the benchmark
+# ledger's exact-count test, and the bench ablations with their
+# BENCH_*.json validation.
 #
 # Everything runs with --offline against the vendored-free, path-only
 # workspace — if any step reaches for the network or a registry, that is
@@ -83,7 +84,7 @@ step "cargo check --offline (benches, examples, bins)" \
 step "cargo test -q --offline" \
     cargo test -q --offline --workspace
 
-step "chaos suite at pinned seed (fault injection + snapshot recovery)" \
+step "chaos suite at pinned seed (fault injection + WAL restart recovery)" \
     env SHAROES_TEST_SEED=0xC4A05EED cargo test -q --offline --test chaos
 
 step "chaos + cluster failover at second pinned seed" \
@@ -132,6 +133,12 @@ diff_pair "concurrency determinism: diff store snapshots (single-lock vs sharded
 
 diff_pair "concurrency determinism: diff engine snapshots (single-lock vs sharded)" \
     target/concurrency-engine-a.bin target/concurrency-engine-b.bin
+
+# The end-to-end benchmark's exact-count test: the same seed and op count,
+# run twice, must give the same round trips, wire bytes, stored bytes and
+# WAL fsyncs. The ledger is a package of its own; this only reads it.
+step "benchmark ledger exact counts (round trips, bytes, fsyncs)" \
+    cargo test --release --offline --manifest-path ledger/Cargo.toml
 
 if [ "$QUICK" -eq 0 ]; then
     # Tracing-overhead ablation: spans off vs on over the same seeded

@@ -774,7 +774,7 @@ fn obs_report(opts: &BenchOpts, quick: bool) {
 
 /// Contention benchmark: the CI gate for the high-concurrency front end.
 /// Real TCP throughout — one sspd for the client-mode sweep, then a 3-node
-/// cluster comparing sequential vs parallel replica fan-out. Writes
+/// cluster with sequential replica fan-out. Writes
 /// `BENCH_concurrency.json` and exits nonzero if the best multi-threaded
 /// throughput fails to clear `SPEEDUP_FLOOR` over the single-threaded
 /// blocking baseline.

@@ -1,8 +1,7 @@
 //! Contention benchmark for the high-concurrency SSP front end.
 //!
 //! Drives a real `sspd` over TCP with N client threads × M ops in three
-//! client modes, and a 3-node TCP cluster with sequential vs parallel
-//! replica fan-out:
+//! client modes, and a 3-node TCP cluster:
 //!
 //! * `blocking`  — one [`TcpTransport`] per thread, one request in flight
 //!   per connection (the pre-pipelining client).
@@ -10,9 +9,8 @@
 //!   [`PipelinedClient`] connection (correlation-id pipelining).
 //! * `batched`   — threads issue `PutMany`/`GetMany` batches over the
 //!   shared pipelined connection.
-//! * `cluster-seq` / `cluster-par` — each thread owns a
-//!   [`ClusterTransport`] over 3 TCP nodes (R=3), with
-//!   [`ClusterOpts::parallel_fanout`] off vs on.
+//! * `cluster-seq` — each thread owns a [`ClusterTransport`] over 3 TCP
+//!   nodes (R=3), fanning out to replicas sequentially.
 //!
 //! Throughput is wall-clock ops/sec; latencies are p50/p95/p99 per request
 //! from the `bench_concurrency_op_ns` sharoes-obs histogram (delta'd per
@@ -246,57 +244,50 @@ pub fn run_single(spec: &ConcurrencySpec) -> Vec<ConcurrencyPoint> {
     points
 }
 
-/// Sweeps a 3-node TCP cluster (R=3) with sequential vs parallel replica
-/// fan-out; each client thread owns its own [`ClusterTransport`].
+/// Sweeps a 3-node TCP cluster (R=3); each client thread owns its own
+/// [`ClusterTransport`].
 pub fn run_cluster(spec: &ConcurrencySpec) -> Vec<ConcurrencyPoint> {
     let nodes: Vec<(TcpServerHandle, String)> = (0..3).map(|_| spawn_sspd()).collect();
     let addrs: Vec<String> = nodes.iter().map(|(_, a)| a.clone()).collect();
     let mut points = Vec::new();
 
-    for (mode, parallel) in [("cluster-seq", false), ("cluster-par", true)] {
-        for (mode_tag, &threads) in spec.threads.iter().enumerate() {
-            let per_thread = spec.ops_per_thread;
-            let value_len = spec.value_len;
-            let addrs = addrs.clone();
-            let (ops, rate, lat) = measure(threads, |t| {
-                let opts = ClusterOpts {
-                    replication: 3,
-                    write_quorum: 1,
-                    parallel_fanout: parallel,
-                    ..ClusterOpts::default()
+    for (mode_tag, &threads) in spec.threads.iter().enumerate() {
+        let per_thread = spec.ops_per_thread;
+        let value_len = spec.value_len;
+        let addrs = addrs.clone();
+        let (ops, rate, lat) = measure(threads, |t| {
+            let opts = ClusterOpts { replication: 3, write_quorum: 1, ..ClusterOpts::default() };
+            let mut cluster = ClusterTransport::new(opts);
+            for (n, addr) in addrs.iter().enumerate() {
+                let transport = TcpTransport::connect(addr).expect("connect cluster node");
+                cluster.add_node(&format!("n{n}"), Box::new(transport));
+            }
+            let mut i = 0usize;
+            let tag = 500 + mode_tag as u64 * 10;
+            move || {
+                if i >= per_thread {
+                    return Ok(0);
+                }
+                let k = key(tag, t, i);
+                let req = if i.is_multiple_of(2) {
+                    Request::Put { key: k, value: vec![t as u8; value_len] }
+                } else {
+                    Request::Get { key: key(tag, t, i - 1) }
                 };
-                let mut cluster = ClusterTransport::new(opts);
-                for (n, addr) in addrs.iter().enumerate() {
-                    let transport = TcpTransport::connect(addr).expect("connect cluster node");
-                    cluster.add_node(&format!("n{n}"), Box::new(transport));
-                }
-                let mut i = 0usize;
-                let tag = 500 + mode_tag as u64 * 10 + u64::from(parallel);
-                move || {
-                    if i >= per_thread {
-                        return Ok(0);
-                    }
-                    let k = key(tag, t, i);
-                    let req = if i.is_multiple_of(2) {
-                        Request::Put { key: k, value: vec![t as u8; value_len] }
-                    } else {
-                        Request::Get { key: key(tag, t, i - 1) }
-                    };
-                    let t0 = Instant::now();
-                    cluster.call(&req).map_err(|e| e.to_string())?;
-                    observe(t0.elapsed().as_nanos() as u64);
-                    i += 1;
-                    Ok(1)
-                }
-            });
-            points.push(ConcurrencyPoint {
-                mode,
-                threads,
-                ops,
-                ops_per_sec: rate,
-                latency_ns: lat,
-            });
-        }
+                let t0 = Instant::now();
+                cluster.call(&req).map_err(|e| e.to_string())?;
+                observe(t0.elapsed().as_nanos() as u64);
+                i += 1;
+                Ok(1)
+            }
+        });
+        points.push(ConcurrencyPoint {
+            mode: "cluster-seq",
+            threads,
+            ops,
+            ops_per_sec: rate,
+            latency_ns: lat,
+        });
     }
 
     for (handle, _) in nodes {
@@ -340,13 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn cluster_sweep_covers_both_fanout_modes() {
+    fn cluster_sweep_covers_every_thread_count() {
         let spec =
-            ConcurrencySpec { threads: vec![2], ops_per_thread: 30, value_len: 32, batch: 8 };
+            ConcurrencySpec { threads: vec![1, 2], ops_per_thread: 30, value_len: 32, batch: 8 };
         let points = run_cluster(&spec);
         assert_eq!(points.len(), 2);
-        assert!(points.iter().any(|p| p.mode == "cluster-seq"));
-        assert!(points.iter().any(|p| p.mode == "cluster-par"));
+        assert!(points.iter().all(|p| p.mode == "cluster-seq"));
         for p in &points {
             assert_eq!(p.ops, (spec.ops_per_thread * p.threads) as u64);
         }

@@ -134,7 +134,6 @@ impl ClusterConfig {
             write_quorum: self.write_quorum,
             vnodes: self.vnodes,
             seed: self.seed,
-            ..ClusterOpts::default()
         }
     }
 

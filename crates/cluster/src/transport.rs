@@ -62,23 +62,11 @@ pub struct ClusterOpts {
     pub vnodes: usize,
     /// Ring placement seed.
     pub seed: u64,
-    /// Issue replica fan-outs concurrently (one scoped thread per target
-    /// node) instead of sequentially. Off by default: sequential calls keep
-    /// per-node fault-schedule draws and trace span order deterministic,
-    /// which the pinned-seed CI gates rely on. Turn on for real-network
-    /// clusters where replica latency should overlap.
-    pub parallel_fanout: bool,
 }
 
 impl Default for ClusterOpts {
     fn default() -> Self {
-        ClusterOpts {
-            replication: 2,
-            write_quorum: 0,
-            vnodes: 64,
-            seed: 0x5A0E5,
-            parallel_fanout: false,
-        }
+        ClusterOpts { replication: 2, write_quorum: 0, vnodes: 64, seed: 0x5A0E5 }
     }
 }
 
@@ -274,15 +262,15 @@ impl ClusterTransport {
         (0..self.nodes.len()).filter(|i| !self.nodes[*i].retired).collect()
     }
 
-    /// One call to one node, free of the `&mut self` borrow so the
-    /// parallel fan-out can run it on a scoped thread. `Response::Error`
-    /// is folded into the error path so every caller sees a single failure
-    /// channel; retired slots fail `Closed` without a node-error bump.
-    fn raw_node_call(
-        node: &mut Node,
+    /// One call to one node. `Response::Error` is folded into the error
+    /// path so every caller sees a single failure channel; retired slots
+    /// fail `Closed` without a node-error bump.
+    pub(crate) fn node_call(
+        &mut self,
+        idx: usize,
         request: &Request,
-        stats: &ClusterStats,
     ) -> Result<Response, NetError> {
+        let node = &mut self.nodes[idx];
         if node.retired {
             return Err(NetError::Closed);
         }
@@ -296,58 +284,19 @@ impl ClusterTransport {
             other => other,
         };
         if outcome.is_err() {
-            stats.bump_node_errors();
+            self.stats.bump_node_errors();
         }
         outcome
     }
 
-    /// One call to one node (sequential path).
-    pub(crate) fn node_call(
-        &mut self,
-        idx: usize,
-        request: &Request,
-    ) -> Result<Response, NetError> {
-        let stats = Arc::clone(&self.stats);
-        Self::raw_node_call(&mut self.nodes[idx], request, &stats)
-    }
-
-    /// Issues one request per (distinct) target node, returning outcomes in
-    /// call order. Sequential unless [`ClusterOpts::parallel_fanout`] is on
-    /// and there is real fan-out to overlap, in which case each target runs
-    /// on a scoped thread holding the only `&mut` borrow of its node.
-    /// Results (and therefore every caller's aggregation) are ordered by
-    /// the input slice either way; only wall-clock overlap differs.
+    /// Issues one request per target node, in order, returning outcomes in
+    /// call order. Sequential calls keep per-node fault-schedule draws and
+    /// trace span order deterministic, which the pinned-seed gates rely on.
     pub(crate) fn fan_calls(
         &mut self,
         calls: &[(usize, Request)],
     ) -> Vec<Result<Response, NetError>> {
-        if !self.opts.parallel_fanout || calls.len() < 2 {
-            return calls.iter().map(|(idx, req)| self.node_call(*idx, req)).collect();
-        }
-        let stats = Arc::clone(&self.stats);
-        let mut slots: Vec<Option<&mut Node>> = self.nodes.iter_mut().map(Some).collect();
-        let borrowed: Vec<&mut Node> = calls
-            .iter()
-            .map(|(idx, _)| slots[*idx].take().expect("fan_calls targets must be distinct"))
-            .collect();
-        let mut results = Vec::with_capacity(calls.len());
-        std::thread::scope(|scope| {
-            let joins: Vec<_> = borrowed
-                .into_iter()
-                .zip(calls)
-                .map(|(node, (_, req))| {
-                    let stats = &stats;
-                    scope.spawn(move || Self::raw_node_call(node, req, stats))
-                })
-                .collect();
-            for join in joins {
-                results.push(
-                    join.join()
-                        .unwrap_or_else(|_| Err(NetError::Remote("replica call panicked".into()))),
-                );
-            }
-        });
-        results
+        calls.iter().map(|(idx, req)| self.node_call(*idx, req)).collect()
     }
 
     pub(crate) fn no_nodes_err() -> NetError {

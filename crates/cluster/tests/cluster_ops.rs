@@ -286,33 +286,3 @@ fn stats_aggregate_physical_storage() {
     );
     assert_eq!(w.cluster.call(&Request::Ping).unwrap(), Response::Pong);
 }
-
-#[test]
-fn parallel_fanout_matches_sequential_results() {
-    // The concurrent fan-out must be observationally identical to the
-    // sequential one: same responses, same final replica placement.
-    let seq_opts = ClusterOpts { replication: 2, ..Default::default() };
-    let par_opts = ClusterOpts { replication: 2, parallel_fanout: true, ..Default::default() };
-    let mut seq = world(&["a", "b", "c"], seq_opts);
-    let mut par = world(&["a", "b", "c"], par_opts);
-    let ops: Vec<Request> = (0..30u64)
-        .map(|i| Request::Put { key: key(i), value: blob(i) })
-        .chain((0..30u64).step_by(3).map(|i| Request::Delete { key: key(i) }))
-        .chain(std::iter::once(Request::PutMany {
-            items: (100..110u64).map(|i| (key(i), blob(i))).collect(),
-        }))
-        .chain(std::iter::once(Request::GetMany { keys: (0..20u64).map(key).collect() }))
-        .chain(std::iter::once(Request::Scan { after: None, limit: 1000 }))
-        .chain(std::iter::once(Request::Stats))
-        .collect();
-    for op in &ops {
-        assert_eq!(seq.cluster.call(op).unwrap(), par.cluster.call(op).unwrap(), "op {op:?}");
-    }
-    for i in 0..110u64 {
-        assert_eq!(
-            holders(&seq, &key(i)),
-            holders(&par, &key(i)),
-            "replica placement diverged for key {i}"
-        );
-    }
-}

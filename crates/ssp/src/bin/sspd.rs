@@ -1,37 +1,31 @@
 //! `sharoes-sspd` — standalone SSP server.
 //!
-//! Usage: `sharoes-sspd [ADDR] [--data FILE | --wal DIR] [--cluster FILE
-//! --node NAME]` (default `127.0.0.1:7070`, in-memory only).
-//!
-//! With `--data`, the store is loaded from FILE at startup (if present) and
-//! snapshotted back every 30 seconds — the SSP's "faithfully store/retrieve"
-//! obligation of paper §VII. All persisted bytes are client-encrypted blobs.
+//! Usage: `sharoes-sspd [ADDR] [--wal DIR] [--cluster FILE --node NAME]`
+//! (default `127.0.0.1:7070`, in-memory only).
 //!
 //! With `--wal DIR`, the daemon serves from the crash-consistent
-//! log-structured engine instead: every mutation is fsynced into an
-//! append-only WAL under DIR before it is acknowledged, recovery replays the
-//! newest checkpoint plus the WAL tail, and a compaction pass runs every 30
-//! seconds when enough garbage has accumulated (see DESIGN.md §11 and the
-//! README "Durability" section for the DIR layout).
+//! log-structured engine — the SSP's "faithfully store/retrieve" obligation
+//! of paper §VII: every mutation is fsynced into an append-only WAL under
+//! DIR before it is acknowledged, recovery replays the newest checkpoint
+//! plus the WAL tail, and compaction runs when enough garbage has
+//! accumulated (see DESIGN.md §11 and the README "Durability" section for
+//! the DIR layout). All persisted bytes are client-encrypted blobs.
 //!
 //! With `--cluster CONFIG --node NAME`, the daemon runs as the named member
 //! of a cluster config (see `sharoes-cluster`): the bind address comes from
-//! the config's `node NAME ADDR` line, and — unless `--data`/`--wal` is
-//! given — the snapshot defaults to `<NAME>.snap` so each member persists
+//! the config's `node NAME ADDR` line, and — unless `--wal` is given — the
+//! WAL directory defaults to `<NAME>.wal` so each member persists
 //! separately. Nodes never talk to each other; replication is entirely
 //! client-driven.
 
 use sharoes_cluster::ClusterConfig;
-use sharoes_ssp::{
-    backup_path, serve, EngineConfig, LogEngine, ObjectStore, RealFs, SnapshotSource, SspServer,
-};
+use sharoes_ssp::{serve, EngineConfig, LogEngine, RealFs, SspServer};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
     let mut addr: Option<String> = None;
-    let mut data: Option<PathBuf> = None;
     let mut wal: Option<PathBuf> = None;
     let mut cluster: Option<PathBuf> = None;
     let mut node: Option<String> = None;
@@ -42,9 +36,6 @@ fn main() {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--data" => {
-                data = Some(PathBuf::from(args.next().unwrap_or_else(|| missing("--data"))))
-            }
             "--wal" => wal = Some(PathBuf::from(args.next().unwrap_or_else(|| missing("--wal")))),
             "--cluster" => {
                 cluster = Some(PathBuf::from(args.next().unwrap_or_else(|| missing("--cluster"))))
@@ -53,11 +44,6 @@ fn main() {
             other => addr = Some(other.to_string()),
         }
     }
-    if wal.is_some() && data.is_some() {
-        eprintln!("sharoes-sspd: --wal and --data are mutually exclusive");
-        std::process::exit(2);
-    }
-
     if let Some(config_path) = &cluster {
         let Some(name) = &node else {
             eprintln!("sharoes-sspd: --cluster requires --node NAME");
@@ -86,8 +72,8 @@ fn main() {
             }
         }
         addr = Some(spec.addr.clone());
-        if data.is_none() && wal.is_none() {
-            data = Some(PathBuf::from(format!("{name}.snap")));
+        if wal.is_none() {
+            wal = Some(PathBuf::from(format!("{name}.wal")));
         }
         eprintln!(
             "sharoes-sspd: cluster member {name} (R={}, W={}, {} nodes)",
@@ -101,83 +87,35 @@ fn main() {
     }
     let addr = addr.unwrap_or_else(|| "127.0.0.1:7070".to_string());
 
-    if let Some(dir) = &wal {
-        let engine = match LogEngine::open(Arc::new(RealFs), dir, EngineConfig::default()) {
-            Ok(engine) => Arc::new(engine),
-            Err(e) => {
-                eprintln!("sharoes-sspd: engine recovery in {} failed: {e}", dir.display());
-                std::process::exit(1);
-            }
-        };
-        eprintln!(
-            "sharoes-sspd: log engine recovered {} objects ({} bytes) from {}",
-            engine.object_count(),
-            engine.byte_count(),
-            dir.display()
-        );
-        let server = SspServer::with_engine(Arc::clone(&engine)).into_shared();
-        match serve(server, &addr) {
-            Ok(handle) => {
-                eprintln!("sharoes-sspd listening on {}", handle.addr());
-                // Mutations group-fsync on their own; this loop only covers
-                // a group-commit remainder that never filled up.
-                loop {
-                    std::thread::sleep(Duration::from_secs(30));
-                    if let Err(e) = engine.flush() {
-                        eprintln!("sharoes-sspd: wal flush failed: {e}");
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("sharoes-sspd: failed to bind {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let store = match &data {
-        Some(path) if path.exists() || backup_path(path).exists() => {
-            // Prefer the primary snapshot; fall back to the previous
-            // generation if the primary is torn or corrupt (e.g. the
-            // process was killed mid-checkpoint).
-            match ObjectStore::load_with_recovery(path) {
-                Ok((store, source)) => {
-                    let from = match source {
-                        SnapshotSource::Primary => path.display().to_string(),
-                        SnapshotSource::Backup => {
-                            format!("{} (primary corrupt/torn)", backup_path(path).display())
-                        }
-                    };
-                    eprintln!(
-                        "sharoes-sspd: restored {} objects ({} bytes) from {from}",
-                        store.object_count(),
-                        store.byte_count(),
-                    );
-                    Arc::new(store)
-                }
+    let (server, engine) = match &wal {
+        Some(dir) => {
+            let engine = match LogEngine::open(Arc::new(RealFs), dir, EngineConfig::default()) {
+                Ok(engine) => Arc::new(engine),
                 Err(e) => {
-                    eprintln!("sharoes-sspd: failed to load {}: {e}", path.display());
+                    eprintln!("sharoes-sspd: engine recovery in {} failed: {e}", dir.display());
                     std::process::exit(1);
                 }
-            }
+            };
+            eprintln!(
+                "sharoes-sspd: log engine recovered {} objects ({} bytes) from {}",
+                engine.object_count(),
+                engine.byte_count(),
+                dir.display()
+            );
+            (SspServer::with_engine(Arc::clone(&engine)), Some(engine))
         }
-        _ => Arc::new(ObjectStore::new()),
+        None => (SspServer::new(), None),
     };
-
-    let server = SspServer::with_store(Arc::clone(&store)).into_shared();
-    match serve(server, &addr) {
+    match serve(server.into_shared(), &addr) {
         Ok(handle) => {
             eprintln!("sharoes-sspd listening on {}", handle.addr());
+            // Mutations group-fsync on their own; this loop only covers a
+            // group-commit remainder that never filled up.
             loop {
                 std::thread::sleep(Duration::from_secs(30));
-                if let Some(path) = &data {
-                    match store.save_to(path) {
-                        Ok(()) => eprintln!(
-                            "sharoes-sspd: snapshot {} objects to {}",
-                            store.object_count(),
-                            path.display()
-                        ),
-                        Err(e) => eprintln!("sharoes-sspd: snapshot failed: {e}"),
+                if let Some(engine) = &engine {
+                    if let Err(e) = engine.flush() {
+                        eprintln!("sharoes-sspd: wal flush failed: {e}");
                     }
                 }
             }

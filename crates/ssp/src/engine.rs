@@ -1,9 +1,10 @@
-//! The log-structured persistent storage engine (ROADMAP item 1).
+//! The log-structured persistent storage engine: the SSP's one durable
+//! backend.
 //!
-//! Replaces "RAM hashtable + full-file snapshot" durability with an
-//! append-only write-ahead log, an in-memory key→location index rebuilt by
-//! replay, and checkpoints in the existing `SHAROES2` snapshot format as an
-//! O(log-tail) recovery shortcut. See DESIGN.md §11 for the on-disk formats
+//! The shared sharded core ([`crate::shards::ShardCore`]) maps each key to
+//! its value's location; under it sit an append-only write-ahead log,
+//! replayed on open to rebuild that map, and checkpoints in the `SHAROES2`
+//! snapshot format as an O(log-tail) recovery shortcut. See DESIGN.md §11 for the on-disk formats
 //! and the recovery state machine; `tests/crashpoints.rs` holds the
 //! crash-point matrix that proves the atomicity story.
 //!
@@ -27,18 +28,19 @@
 
 use crate::faultfs::{VFile, Vfs};
 use crate::segment::{checkpoint_name, classify, wal_name, TMP_SUFFIX};
-use crate::store::{parse_snapshot_index, shard_of, snapshot_from_entries, DEFAULT_SHARDS};
+use crate::shards::{shard_of, sorted_entries, Shard, ShardCore, Stored, DEFAULT_SHARDS};
+use crate::store::{parse_snapshot_index, snapshot_from_entries};
 use crate::wal::{
     decode_record_at, decode_wal_header, encode_record, encode_wal_header, replay, WalError, WalOp,
     WalRecord, WAL_HEADER_LEN,
 };
 use sharoes_crypto::Sha256;
-use sharoes_index::{MerkleIndex, VerifiedPage};
-use sharoes_net::{KeySpace, NetError, ObjectKey};
+use sharoes_net::{NetError, ObjectKey};
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLockWriteGuard};
 
 /// Tuning knobs for [`LogEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -69,16 +71,17 @@ impl Default for EngineConfig {
 
 /// Which file a live value resides in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FileRef {
+pub enum FileRef {
     /// The current checkpoint file.
     Checkpoint,
     /// WAL file with this id (active or sealed).
     Wal(u64),
 }
 
-/// Index entry: where the newest version of a key's value lives.
+/// What the engine's core stores per key: where the newest version of the
+/// key's value lives.
 #[derive(Clone, Copy, Debug)]
-struct Loc {
+pub struct Loc {
     file: FileRef,
     /// Record offset (WAL) or value offset (checkpoint).
     offset: u64,
@@ -89,6 +92,12 @@ struct Loc {
     /// Truncated SHA-256 of the value (checkpoint entries; the WAL record's
     /// own digest covers WAL entries).
     vdigest: [u8; 8],
+}
+
+impl Stored for Loc {
+    fn stored_len(&self) -> u64 {
+        self.vlen as u64
+    }
 }
 
 impl Loc {
@@ -126,33 +135,39 @@ struct FileState {
     pending: usize,
 }
 
-/// One shard of the key→location map.
-type Shard = BTreeMap<ObjectKey, Loc>;
-
 /// Crash-consistent log-structured store: the durable drop-in for
 /// [`crate::store::ObjectStore`] behind `sharoes-sspd --wal`.
 ///
-/// Concurrency model (DESIGN.md §14): the key→location index is split into
-/// [`DEFAULT_SHARDS`] shards keyed by [`crate::store::shard_of`] — the same
-/// stable hash the cluster ring proves out — so writers to different shards
-/// only contend on the (short) WAL append section. Lock order is global and
+/// The engine is the shared [`ShardCore`] over key→[`Loc`] (reached through
+/// `Deref`: index, scan and stats reads are the core's) plus the WAL,
+/// checkpoint and compaction state layered on top.
+///
+/// Concurrency model (DESIGN.md §14): the key→location map is split into
+/// [`DEFAULT_SHARDS`] shards keyed by [`shard_of`] — the same stable hash
+/// the cluster ring proves out — so writers to different shards only
+/// contend on the (short) WAL append section. Lock order is global and
 /// acyclic: shard locks in ascending shard order, then `files`, then (after
-/// `files` is released) `mindex`. Whole-map operations (compaction,
-/// snapshot) take every shard lock in ascending order first.
+/// `files` is released) the core's key index. Whole-map operations
+/// (compaction, snapshot) take every shard lock in ascending order first.
 pub struct LogEngine {
+    /// Key→location shards plus the authenticated key index, rebuilt from
+    /// the recovered key set on open. Compaction never touches the index:
+    /// the key *set* is unchanged.
+    core: ShardCore<Loc>,
     fs: Arc<dyn Vfs>,
     dir: PathBuf,
     config: EngineConfig,
-    shards: Vec<RwLock<Shard>>,
-    /// Authenticated ordered index over the live keys, maintained in
-    /// lockstep with the shard maps and rebuilt from the recovered key set
-    /// on open. Compaction never touches it: the key *set* is unchanged.
-    mindex: RwLock<MerkleIndex>,
     files: Mutex<FileState>,
     /// Bytes of superseded (garbage) records across WAL files + checkpoint.
     dead_bytes: AtomicU64,
-    /// Total live value bytes.
-    value_bytes: AtomicU64,
+}
+
+impl Deref for LogEngine {
+    type Target = ShardCore<Loc>;
+
+    fn deref(&self) -> &ShardCore<Loc> {
+        &self.core
+    }
 }
 
 fn vdigest8(value: &[u8]) -> [u8; 8] {
@@ -217,7 +232,6 @@ impl LogEngine {
         let had_checkpoint_files = !listing.checkpoints.is_empty();
 
         let mut index: BTreeMap<ObjectKey, Loc> = BTreeMap::new();
-        let mut value_bytes = 0u64;
         let mut dead_bytes = 0u64;
         let base_seq = match &checkpoint {
             Some((seq, _, ix, bytes)) => {
@@ -233,7 +247,6 @@ impl LogEngine {
                             vdigest: vdigest8(value),
                         },
                     );
-                    value_bytes += *vlen as u64;
                 }
                 *seq
             }
@@ -297,14 +310,11 @@ impl LogEngine {
                         };
                         if let Some(old) = index.insert(key, loc) {
                             dead_bytes += old.cost();
-                            value_bytes -= old.vlen as u64;
                         }
-                        value_bytes += value.len() as u64;
                     }
                     WalOp::Delete { key } => {
                         if let Some(old) = index.remove(&key) {
                             dead_bytes += old.cost();
-                            value_bytes -= old.vlen as u64;
                         }
                         dead_bytes += rlen as u64;
                     }
@@ -388,22 +398,14 @@ impl LogEngine {
         sharoes_obs::counter("ssp_recovery_replayed_records").add(replayed);
         sharoes_obs::histogram_ms("ssp_recovery_ms").observe(t0.elapsed().as_millis() as u64);
 
-        // From-scratch mindex rebuild over the recovered key set: history
-        // independence guarantees this equals the tree any sequence of live
-        // mutations would have left (tests/crashpoints.rs asserts this at
+        // The core rebuilds the key index from scratch over the recovered
+        // key set (tests/crashpoints.rs asserts it equals the live tree at
         // every crash point).
-        let mindex = MerkleIndex::from_keys(index.keys().copied());
-        let mut shard_maps: Vec<Shard> = (0..DEFAULT_SHARDS).map(|_| BTreeMap::new()).collect();
-        for (key, loc) in index {
-            shard_maps[shard_of(&key, DEFAULT_SHARDS)].insert(key, loc);
-        }
-
         Ok(LogEngine {
+            core: ShardCore::from_entries(DEFAULT_SHARDS, index),
             fs,
             dir: dir.to_path_buf(),
             config,
-            shards: shard_maps.into_iter().map(RwLock::new).collect(),
-            mindex: RwLock::new(mindex),
             files: Mutex::new(FileState {
                 wal,
                 wal_id,
@@ -415,14 +417,14 @@ impl LogEngine {
                 pending: 0,
             }),
             dead_bytes: AtomicU64::new(dead_bytes),
-            value_bytes: AtomicU64::new(value_bytes),
         })
     }
 
     /// Locks the file state, attributing wait time to the enclosing span's
-    /// `lock` phase when a trace span is live. All locks below recover from
-    /// poisoning: a writer panicking mid-operation leaves at worst a torn
-    /// *logical* record, which is exactly the state recovery handles.
+    /// `lock` phase when a trace span is live. Like the core's shard locks it
+    /// recovers from poisoning: a writer panicking mid-operation leaves at
+    /// worst a torn *logical* record, which is exactly the state recovery
+    /// handles.
     fn files_lock(&self) -> MutexGuard<'_, FileState> {
         if sharoes_obs::in_span() {
             let start = std::time::Instant::now();
@@ -431,41 +433,6 @@ impl LogEngine {
             return guard;
         }
         self.files.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn shard_read(&self, key: &ObjectKey) -> RwLockReadGuard<'_, Shard> {
-        self.shards[shard_of(key, self.shards.len())].read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn shard_write(&self, key: &ObjectKey) -> RwLockWriteGuard<'_, Shard> {
-        if sharoes_obs::in_span() {
-            let start = std::time::Instant::now();
-            let guard = self.shards[shard_of(key, self.shards.len())]
-                .write()
-                .unwrap_or_else(|e| e.into_inner());
-            sharoes_obs::phase_add(sharoes_obs::Phase::Lock, start.elapsed().as_nanos() as u64);
-            return guard;
-        }
-        self.shards[shard_of(key, self.shards.len())].write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Every shard, write-locked in ascending shard order (the global lock
-    /// order that makes whole-map operations deadlock-free).
-    fn write_all_shards(&self) -> Vec<RwLockWriteGuard<'_, Shard>> {
-        self.shards.iter().map(|s| s.write().unwrap_or_else(|e| e.into_inner())).collect()
-    }
-
-    /// Every shard, read-locked in ascending shard order.
-    fn read_all_shards(&self) -> Vec<RwLockReadGuard<'_, Shard>> {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner())).collect()
-    }
-
-    fn mindex_read(&self) -> RwLockReadGuard<'_, MerkleIndex> {
-        self.mindex.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn mindex_write(&self) -> RwLockWriteGuard<'_, MerkleIndex> {
-        self.mindex.write().unwrap_or_else(|e| e.into_inner())
     }
 
     fn sync_wal(files: &mut FileState) -> Result<(), NetError> {
@@ -567,24 +534,13 @@ impl LogEngine {
     /// holds *every* shard write lock (ascending) plus the file lock.
     fn compact_locked(
         &self,
-        shards: &mut [RwLockWriteGuard<'_, Shard>],
+        shards: &mut [RwLockWriteGuard<'_, Shard<Loc>>],
         files: &mut FileState,
     ) -> Result<(), NetError> {
         let _span = sharoes_obs::span!("ssp.compact");
         Self::sync_wal(files)?; // checkpoint must cover acknowledged state
         let seq = files.next_seq - 1;
-
-        let mut merged: BTreeMap<ObjectKey, Loc> = BTreeMap::new();
-        for shard in shards.iter() {
-            for (key, loc) in shard.iter() {
-                merged.insert(*key, *loc);
-            }
-        }
-        let mut entries: Vec<(ObjectKey, Vec<u8>)> = Vec::with_capacity(merged.len());
-        for (key, loc) in &merged {
-            let value = self.read_value(files, key, *loc)?;
-            entries.push((*key, value));
-        }
+        let entries = self.read_entries(shards, files)?;
         let bytes = snapshot_from_entries(&entries);
 
         // tmp → fsync file → rename → fsync dir: only then is the
@@ -598,25 +554,22 @@ impl LogEngine {
         self.fs.rename(&tmp, &self.dir.join(&final_name))?;
         self.fs.sync_dir(&self.dir)?;
 
-        // Rebuild the shard maps to point into the checkpoint (value offset
-        // = entry offset + key wire size + length prefix; see
-        // `snapshot_from_entries`).
-        for shard in shards.iter_mut() {
-            shard.clear();
-        }
+        // Repoint every entry into the checkpoint (value offset = entry
+        // offset + key wire size + length prefix; see
+        // `snapshot_from_entries`). Key set and value lengths are unchanged,
+        // so the core's index and byte count stay as they are.
+        let n = shards.len();
         let mut off = 16u64; // magic + count
         for (key, value) in &entries {
             let voff = off + 29 + 4;
-            shards[shard_of(key, shards.len())].insert(
-                *key,
-                Loc {
-                    file: FileRef::Checkpoint,
-                    offset: voff,
-                    rlen: 0,
-                    vlen: value.len() as u32,
-                    vdigest: vdigest8(value),
-                },
-            );
+            let slot = shards[shard_of(key, n)].get_mut(key).expect("entry came from these shards");
+            *slot = Loc {
+                file: FileRef::Checkpoint,
+                offset: voff,
+                rlen: 0,
+                vlen: value.len() as u32,
+                vdigest: vdigest8(value),
+            };
             off = voff + value.len() as u64;
         }
 
@@ -654,8 +607,7 @@ impl LogEngine {
     /// Whether the garbage thresholds say a compaction is worth it.
     fn compaction_due(&self) -> bool {
         let dead = self.dead_bytes.load(Ordering::Relaxed);
-        dead >= self.config.compact_min_dead_bytes
-            && dead >= self.value_bytes.load(Ordering::Relaxed)
+        dead >= self.config.compact_min_dead_bytes && dead >= self.byte_count()
     }
 
     /// Threshold-triggered compaction. Peeks the atomics lock-free; only if
@@ -665,7 +617,7 @@ impl LogEngine {
         if !self.config.auto_compact || !self.compaction_due() {
             return Ok(());
         }
-        let mut shards = self.write_all_shards();
+        let mut shards = self.write_all();
         if !self.compaction_due() {
             return Ok(());
         }
@@ -673,24 +625,22 @@ impl LogEngine {
         self.compact_locked(&mut shards, &mut files)
     }
 
-    /// Charges supersession accounting for a map entry that `key`'s
-    /// mutation just replaced or removed.
-    fn account_dead(&self, old: &Loc) {
-        self.dead_bytes.fetch_add(old.cost(), Ordering::Relaxed);
-        self.value_bytes.fetch_sub(old.vlen as u64, Ordering::Relaxed);
+    /// Charges the garbage a superseded or deleted entry leaves behind.
+    fn account_dead(&self, bytes: u64) {
+        self.dead_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Stores (or replaces) an object.
     ///
     /// Lock walk: shard write → files (append + group fsync + roll) → drop
-    /// files → map/mindex update → drop shard. The shard lock is held
+    /// files → map/index update → drop shard. The shard lock is held
     /// across the file section so a concurrent whole-map operation can
     /// never observe an appended-but-unindexed record. A failed group fsync
     /// still indexes the record (it is applied, just not yet durable) and
     /// then surfaces the error — same contract as the single-lock engine.
     pub fn put(&self, key: ObjectKey, value: Vec<u8>) -> Result<(), NetError> {
         let vlen = value.len() as u32;
-        let mut shard = self.shard_write(&key);
+        let mut shard = self.write(&key);
         let (loc, sync_res) = {
             let mut files = self.files_lock();
             let (offset, rlen) = self.append_record(&mut files, WalOp::Put { key, value })?;
@@ -701,13 +651,9 @@ impl LogEngine {
             }
             (loc, sync_res)
         };
-        match shard.insert(key, loc) {
-            Some(old) => self.account_dead(&old),
-            None => {
-                self.mindex_write().insert(key);
-            }
+        if let Some(old) = self.insert_locked(&mut shard, key, loc) {
+            self.account_dead(old.cost());
         }
-        self.value_bytes.fetch_add(vlen as u64, Ordering::Relaxed);
         drop(shard);
         sync_res?;
         self.maybe_compact()
@@ -719,7 +665,7 @@ impl LogEngine {
     /// every shard write lock first, so the `Loc` cannot go stale between
     /// the map lookup and the value read.
     pub fn get(&self, key: &ObjectKey) -> Result<Option<Vec<u8>>, NetError> {
-        let shard = self.shard_read(key);
+        let shard = self.read(key);
         match shard.get(key).copied() {
             Some(loc) => {
                 let mut files = self.files_lock();
@@ -734,7 +680,7 @@ impl LogEngine {
     /// the `delete_blocks` sweep defers rolling to one end-of-sweep check
     /// (preserving the pre-shard record layout the crash matrix pins).
     fn delete_one(&self, key: &ObjectKey, roll: bool) -> Result<bool, NetError> {
-        let mut shard = self.shard_write(key);
+        let mut shard = self.write(key);
         if !shard.contains_key(key) {
             return Ok(false);
         }
@@ -747,11 +693,8 @@ impl LogEngine {
             }
             (rlen, sync_res)
         };
-        if let Some(old) = shard.remove(key) {
-            self.account_dead(&old);
-            self.mindex_write().remove(key);
-        }
-        self.dead_bytes.fetch_add(rlen as u64, Ordering::Relaxed);
+        let old = self.remove_locked(&mut shard, key).map_or(0, |old| old.cost());
+        self.account_dead(old + rlen as u64);
         drop(shard);
         sync_res?;
         Ok(true)
@@ -771,24 +714,14 @@ impl LogEngine {
     ///
     /// Logged as one delete record per block (each atomic on its own): a
     /// crash mid-sweep recovers a prefix of the deletions, which the
-    /// idempotent caller simply reissues. The doomed set is collected
-    /// up front and deleted in sorted key order — the same WAL record
-    /// order the single-lock engine produced — with one roll check at the
-    /// end of the sweep. Keys inserted concurrently with the sweep may be
-    /// missed; the idempotent caller's reissue covers them.
+    /// idempotent caller simply reissues. The core's doomed set comes in
+    /// sorted key order — the WAL record order the crash matrix pins — with
+    /// one roll check at the end of the sweep. Keys inserted concurrently
+    /// with the sweep may be missed; the idempotent caller's reissue covers
+    /// them.
     pub fn delete_blocks(&self, inode: u64, view: [u8; 16]) -> Result<usize, NetError> {
-        let mut doomed: Vec<ObjectKey> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read().unwrap_or_else(|e| e.into_inner());
-            doomed.extend(
-                map.keys()
-                    .filter(|k| k.space == KeySpace::Data && k.inode == inode && k.view == view)
-                    .copied(),
-            );
-        }
-        doomed.sort_unstable();
         let mut removed = 0usize;
-        for key in &doomed {
+        for key in &self.block_keys(inode, view) {
             if self.delete_one(key, false)? {
                 removed += 1;
             }
@@ -814,80 +747,31 @@ impl LogEngine {
 
     /// Manually checkpoints + compacts, regardless of thresholds.
     pub fn compact(&self) -> Result<(), NetError> {
-        let mut shards = self.write_all_shards();
+        let mut shards = self.write_all();
         let mut files = self.files_lock();
         self.compact_locked(&mut shards, &mut files)
-    }
-
-    /// Number of stored objects.
-    pub fn object_count(&self) -> u64 {
-        self.read_all_shards().iter().map(|s| s.len() as u64).sum()
-    }
-
-    /// Total stored value bytes.
-    pub fn byte_count(&self) -> u64 {
-        self.value_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes stored per keyspace (deterministic iteration order).
-    pub fn bytes_by_space(&self) -> BTreeMap<KeySpace, u64> {
-        let shards = self.read_all_shards();
-        let mut out = BTreeMap::new();
-        for shard in &shards {
-            for (key, loc) in shard.iter() {
-                *out.entry(key.space).or_insert(0) += loc.vlen as u64;
-            }
-        }
-        out
-    }
-
-    /// One page of the key index in `ObjectKey` order, strictly after the
-    /// `after` cursor. Returns the page and whether the scan is complete.
-    ///
-    /// Served from the authenticated index under its *read* lock: paged
-    /// scans never serialize against shard writers or the WAL.
-    pub fn scan_keys(&self, after: Option<&ObjectKey>, limit: usize) -> (Vec<ObjectKey>, bool) {
-        self.mindex_read().scan_page(after, limit)
-    }
-
-    /// Root hash of the authenticated key index plus the live key count.
-    pub fn index_root(&self) -> ([u8; 32], u64) {
-        let mut mindex = self.mindex_write();
-        let root = mindex.root();
-        let count = mindex.len();
-        (root, count)
-    }
-
-    /// Canonical encoding of the index node content-addressed by `hash`,
-    /// if this engine currently has it (serves the `IndexNode` wire op).
-    pub fn index_node_bytes(&self, hash: &[u8; 32]) -> Option<Vec<u8>> {
-        self.mindex_write().node_bytes(hash)
-    }
-
-    /// One scan page plus a Merkle range proof tying it to the current
-    /// root (serves the `ScanVerified` wire op).
-    pub fn scan_proof(&self, after: Option<&ObjectKey>, limit: u32) -> VerifiedPage {
-        self.mindex_write().prove_scan(after, limit)
     }
 
     /// Serializes the full live state as a `SHAROES2` snapshot (sorted by
     /// key, so two engines holding the same logical state produce identical
     /// bytes — the fingerprint the recovery-equivalence tests compare).
     pub fn snapshot(&self) -> Result<Vec<u8>, NetError> {
-        let shards = self.read_all_shards();
+        let shards = self.read_all();
         let mut files = self.files_lock();
-        let mut merged: BTreeMap<ObjectKey, Loc> = BTreeMap::new();
-        for shard in &shards {
-            for (key, loc) in shard.iter() {
-                merged.insert(*key, *loc);
-            }
-        }
-        let mut entries = Vec::with_capacity(merged.len());
-        for (key, loc) in merged {
-            let value = self.read_value(&mut files, &key, loc)?;
-            entries.push((key, value));
-        }
-        Ok(snapshot_from_entries(&entries))
+        Ok(snapshot_from_entries(&self.read_entries(&shards, &mut files)?))
+    }
+
+    /// Every live `(key, value)` under `shards` (all of them, locked by the
+    /// caller), in key order, with values read back and verified.
+    fn read_entries<G: Deref<Target = Shard<Loc>>>(
+        &self,
+        shards: &[G],
+        files: &mut FileState,
+    ) -> Result<Vec<(ObjectKey, Vec<u8>)>, NetError> {
+        sorted_entries(shards)
+            .into_iter()
+            .map(|(key, loc)| Ok((key, self.read_value(files, &key, loc)?)))
+            .collect()
     }
 
     /// Engine shape for assertions: `(active wal id, active wal bytes,
@@ -902,6 +786,8 @@ impl LogEngine {
 mod tests {
     use super::*;
     use crate::faultfs::FaultFs;
+    use sharoes_index::MerkleIndex;
+    use sharoes_net::KeySpace;
 
     fn key(i: u64, b: u32) -> ObjectKey {
         ObjectKey::data(i, [i as u8; 16], b)
@@ -1003,19 +889,21 @@ mod tests {
 
     #[test]
     fn group_commit_batches_fsyncs() {
-        let before = sharoes_obs::counter("ssp_wal_fsyncs").get();
+        // Counted on this engine's own filesystem: the process-global
+        // `ssp_wal_fsyncs` counter also moves with concurrently running tests.
         let config = EngineConfig { group_commit: 8, auto_compact: false, ..Default::default() };
-        let (_fs, engine) = mem_engine(config);
+        let (fs, engine) = mem_engine(config);
+        let before = fs.file_syncs();
         for i in 0..16u64 {
             engine.put(key(i, 0), vec![0; 8]).unwrap();
         }
-        let after = sharoes_obs::counter("ssp_wal_fsyncs").get();
+        let after = fs.file_syncs();
         assert_eq!(after - before, 2, "16 appends at group 8 = 2 fsyncs");
         engine.put(key(99, 0), vec![1]).unwrap();
         engine.flush().unwrap();
-        assert_eq!(sharoes_obs::counter("ssp_wal_fsyncs").get() - after, 1);
+        assert_eq!(fs.file_syncs() - after, 1);
         engine.flush().unwrap(); // nothing pending: no extra fsync
-        assert_eq!(sharoes_obs::counter("ssp_wal_fsyncs").get() - after, 1);
+        assert_eq!(fs.file_syncs() - after, 1);
     }
 
     #[test]
@@ -1114,11 +1002,7 @@ mod tests {
         // Panic while holding every shard write lock: all shards poison.
         let poisoner = Arc::clone(&engine);
         let _ = std::thread::spawn(move || {
-            let _guards: Vec<_> = poisoner
-                .shards
-                .iter()
-                .map(|s| s.write().unwrap_or_else(|e| e.into_inner()))
-                .collect();
+            let _guards = poisoner.write_all();
             panic!("poison the shard locks");
         })
         .join();

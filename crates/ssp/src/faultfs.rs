@@ -15,7 +15,8 @@
 //! * **Namespace operations are volatile until `sync_dir`.** Creates,
 //!   renames, and removes hit the live view immediately but only become
 //!   crash-durable when the directory is fsynced — the invariant behind the
-//!   write-then-rename-then-`fsync(dir)` dance (see `ObjectStore::save_to`).
+//!   write-then-rename-then-`fsync(dir)` dance (see the engine's checkpoint
+//!   step in `LogEngine::compact`).
 //!   A crash can therefore *resurrect* a removed file or lose a renamed one,
 //!   and the engine's recovery has to cope.
 //! * **Disks rot and fsyncs fail.** [`FaultFs::flip_bit`] flips a seeded
@@ -191,6 +192,8 @@ struct FaultState {
     fail_syncs: u32,
     /// Total injected sync failures (for assertions).
     sync_failures: u64,
+    /// Total successful file syncs (for assertions).
+    file_syncs: u64,
 }
 
 /// A seeded, crash-simulating in-memory [`Vfs`].
@@ -224,6 +227,7 @@ impl FaultFs {
                 durable_names: BTreeMap::new(),
                 fail_syncs: 0,
                 sync_failures: 0,
+                file_syncs: 0,
             })),
         }
     }
@@ -242,6 +246,13 @@ impl FaultFs {
     /// Number of injected sync failures so far.
     pub fn sync_failures(&self) -> u64 {
         self.lock().sync_failures
+    }
+
+    /// Number of successful file `sync` calls (not `sync_dir`) so far,
+    /// across every handle on this filesystem: an engine's own fsync count,
+    /// free of other engines running in the same process.
+    pub fn file_syncs(&self) -> u64 {
+        self.lock().file_syncs
     }
 
     fn consume_sync_fault(state: &mut FaultState) -> std::io::Result<()> {
@@ -279,6 +290,7 @@ impl FaultFs {
                 names,
                 fail_syncs: 0,
                 sync_failures: 0,
+                file_syncs: 0,
             })),
         }
     }
@@ -350,6 +362,7 @@ impl VFile for FaultFile {
     fn sync(&mut self) -> std::io::Result<()> {
         let mut state = self.fs.lock();
         FaultFs::consume_sync_fault(&mut state)?;
+        state.file_syncs += 1;
         drop(state);
         let mut node = self.node.lock().unwrap_or_else(|e| e.into_inner());
         node.synced = node.data.len();

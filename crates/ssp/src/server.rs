@@ -1,6 +1,7 @@
 //! The SSP request handler: protocol dispatch over the object store.
 
 use crate::engine::LogEngine;
+use crate::shards::KeyIndex;
 use crate::store::ObjectStore;
 use sharoes_net::{NetError, ObjectKey, Request, RequestHandler, Response, TraceEventWire};
 use sharoes_obs::Histogram;
@@ -52,15 +53,25 @@ fn ssp_metrics() -> &'static SspMetrics {
     })
 }
 
-/// Which storage backend a server instance serves from.
+/// Which storage backend a server instance serves from. Both are the same
+/// sharded core underneath; only the mutations and reads differ, because
+/// the engine's can fail on I/O.
 enum Backend {
-    /// In-memory sharded hashtable, durable via whole-store snapshots.
+    /// In-memory sharded hashtable (not durable).
     Memory(Arc<ObjectStore>),
     /// Crash-consistent log-structured engine (`sharoes-sspd --wal`).
     Log(Arc<LogEngine>),
 }
 
 impl Backend {
+    /// The core's key index: index, scan and stats reads.
+    fn keys(&self) -> &KeyIndex {
+        match self {
+            Backend::Memory(s) => s,
+            Backend::Log(e) => e,
+        }
+    }
+
     fn put(&self, key: ObjectKey, value: Vec<u8>) -> Result<(), NetError> {
         match self {
             Backend::Memory(s) => {
@@ -89,27 +100,6 @@ impl Backend {
         match self {
             Backend::Memory(s) => Ok(s.delete_blocks(inode, view)),
             Backend::Log(e) => e.delete_blocks(inode, view),
-        }
-    }
-
-    fn index_root(&self) -> ([u8; 32], u64) {
-        match self {
-            Backend::Memory(s) => s.index_root(),
-            Backend::Log(e) => e.index_root(),
-        }
-    }
-
-    fn index_node_bytes(&self, hash: &[u8; 32]) -> Option<Vec<u8>> {
-        match self {
-            Backend::Memory(s) => s.index_node_bytes(hash),
-            Backend::Log(e) => e.index_node_bytes(hash),
-        }
-    }
-
-    fn scan_proof(&self, after: Option<&ObjectKey>, limit: u32) -> sharoes_index::VerifiedPage {
-        match self {
-            Backend::Memory(s) => s.scan_proof(after, limit),
-            Backend::Log(e) => e.scan_proof(after, limit),
         }
     }
 }
@@ -255,28 +245,22 @@ impl RequestHandler for SspServer {
                     Some(e) => storage_err(e),
                 }
             }
-            Request::Stats => match b {
-                Backend::Memory(s) => {
-                    Response::Stats { objects: s.object_count(), bytes: s.byte_count() }
-                }
-                Backend::Log(e) => {
-                    Response::Stats { objects: e.object_count(), bytes: e.byte_count() }
-                }
-            },
+            Request::Stats => {
+                Response::Stats { objects: b.keys().object_count(), bytes: b.keys().byte_count() }
+            }
             Request::Scan { after, limit } => {
-                let (keys, done) = match b {
-                    Backend::Memory(s) => s.scan_keys(after.as_ref(), limit as usize),
-                    Backend::Log(e) => e.scan_keys(after.as_ref(), limit as usize),
-                };
+                let (keys, done) = b.keys().scan_keys(after.as_ref(), limit as usize);
                 Response::Keys { keys, done }
             }
             Request::Root => {
-                let (root, count) = b.index_root();
+                let (root, count) = b.keys().index_root();
                 Response::Root { root, count }
             }
-            Request::IndexNode { hash } => Response::IndexNode { node: b.index_node_bytes(&hash) },
+            Request::IndexNode { hash } => {
+                Response::IndexNode { node: b.keys().index_node_bytes(&hash) }
+            }
             Request::ScanVerified { after, limit } => {
-                let p = b.scan_proof(after.as_ref(), limit);
+                let p = b.keys().scan_proof(after.as_ref(), limit);
                 Response::KeysProof { keys: p.keys, done: p.done, root: p.root, proof: p.proof }
             }
             Request::Metrics => Response::Metrics { text: sharoes_obs::global().render() },

@@ -1,372 +1,67 @@
-//! The SSP's object store: a sharded hashtable of encrypted blobs.
+//! The SSP's in-memory object store, plus the `SHAROES2` snapshot format.
 //!
 //! Per the paper (§IV): "There is no computation involved on the data at the
 //! SSP and it simply maintains a large hashtable for encrypted metadata
-//! objects and encrypted data blocks." The store never inspects values; keys
-//! are the composite [`ObjectKey`] index.
+//! objects and encrypted data blocks." [`ObjectStore`] is exactly the shared
+//! [`ShardCore`] holding the encrypted blobs themselves; it never inspects
+//! values, and keys are the composite [`ObjectKey`] index.
 
+use crate::shards::{sorted_entries, ShardCore};
 use sharoes_crypto::Sha256;
-use sharoes_index::{MerkleIndex, VerifiedPage};
-use sharoes_net::{Cursor, KeySpace, NetError, ObjectKey, WireRead, WireWrite};
-use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use sharoes_net::{Cursor, NetError, ObjectKey, WireRead, WireWrite};
 
-/// Magic + version prefix of the current (checksummed) snapshot format.
+/// Magic + version prefix of the (checksummed) snapshot format.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SHAROES2";
-
-/// Magic of the legacy trailer-less format; still readable.
-const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"SHAROES1";
 
 /// Trailer: the body length (u64 BE) followed by SHA-256 of the body.
 const TRAILER_LEN: usize = 8 + 32;
 
-/// Default number of lock shards.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// Domain-separation prefix for the shard hash (cf. the cluster ring's
-/// `sharoes-ring-vnode` / `sharoes-ring-key` domains).
-const SHARD_DOMAIN: &[u8] = b"sharoes-shard-key";
-
-/// Which of `n` lock shards owns `key`.
-///
-/// The same construction the cluster ring proves out for key placement:
-/// SHA-256 over a domain tag plus the key's wire encoding. Stable across
-/// Rust versions and processes (unlike `DefaultHasher`), so a shard
-/// assignment observed in one run — or one layer — holds everywhere; the
-/// log engine shares it.
-pub fn shard_of(key: &ObjectKey, n: usize) -> usize {
-    let mut buf = Vec::with_capacity(SHARD_DOMAIN.len() + 29);
-    buf.extend_from_slice(SHARD_DOMAIN);
-    key.write(&mut buf);
-    let digest = Sha256::digest(&buf);
-    let mut h = [0u8; 8];
-    h.copy_from_slice(&digest[..8]);
-    (u64::from_be_bytes(h) % n as u64) as usize
-}
-
-/// Where [`ObjectStore::load_with_recovery`] found a valid snapshot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SnapshotSource {
-    /// The primary snapshot file was intact.
-    Primary,
-    /// The primary was missing or corrupt; the previous generation
-    /// (`<path>.bak`) was used.
-    Backup,
-}
-
-/// The previous-generation path for a snapshot at `path` (`<path>.bak`).
-pub fn backup_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".bak");
-    PathBuf::from(os)
-}
-
-/// Fsyncs the directory containing `path`, making renames/creates durable.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()
-}
-
-/// Sharded, thread-safe blob store.
-pub struct ObjectStore {
-    shards: Vec<RwLock<HashMap<ObjectKey, Vec<u8>>>>,
-    bytes: AtomicU64,
-    /// Authenticated ordered index over the stored keys. Lock order: a
-    /// shard lock (if any) is taken first, the index lock strictly inside
-    /// it — mutators update the index while still holding the shard guard
-    /// so the index never observes a key set no shard ever held. An
-    /// `RwLock` so paged scans (read-only on the index) never serialize
-    /// against each other or against readers of other shards.
-    index: RwLock<MerkleIndex>,
-}
-
-impl Default for ObjectStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Sharded, thread-safe, in-memory blob store: the core holding the value
+/// bytes directly. Infallible; durability is the log engine's job.
+pub type ObjectStore = ShardCore<Vec<u8>>;
 
 impl ObjectStore {
-    /// An empty store with the default shard count.
-    pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty store with an explicit shard count (at least 1).
-    ///
-    /// `with_shards(1)` is the single-global-lock configuration the
-    /// contention gate uses as its correctness baseline: every workload
-    /// must produce byte-identical snapshots against 1 shard and N shards.
-    pub fn with_shards(n: usize) -> Self {
-        let n = n.max(1);
-        ObjectStore {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            bytes: AtomicU64::new(0),
-            index: RwLock::new(MerkleIndex::new()),
-        }
-    }
-
-    fn shard(&self, key: &ObjectKey) -> &RwLock<HashMap<ObjectKey, Vec<u8>>> {
-        &self.shards[shard_of(key, self.shards.len())]
-    }
-
-    fn index_read(&self) -> RwLockReadGuard<'_, MerkleIndex> {
-        self.index.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn index_write(&self) -> RwLockWriteGuard<'_, MerkleIndex> {
-        self.index.write().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Stores (or replaces) an object.
     pub fn put(&self, key: ObjectKey, value: Vec<u8>) {
-        let mut shard = self.shard(&key).write().unwrap_or_else(|e| e.into_inner());
-        let new_len = value.len() as u64;
-        match shard.insert(key, value) {
-            Some(old) => {
-                // Replacement: the key set — and thus the index — is
-                // unchanged.
-                self.bytes.fetch_add(new_len, Ordering::Relaxed);
-                self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-            }
-            None => {
-                self.bytes.fetch_add(new_len, Ordering::Relaxed);
-                self.index_write().insert(key);
-            }
-        }
+        let mut shard = self.write(&key);
+        self.insert_locked(&mut shard, key, value);
     }
 
     /// Fetches an object.
     pub fn get(&self, key: &ObjectKey) -> Option<Vec<u8>> {
-        self.shard(key).read().unwrap_or_else(|e| e.into_inner()).get(key).cloned()
+        self.read(key).get(key).cloned()
     }
 
     /// Deletes an object; returns whether it existed.
     pub fn delete(&self, key: &ObjectKey) -> bool {
-        let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-        match shard.remove(key) {
-            Some(old) => {
-                self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                self.index_write().remove(key);
-                true
-            }
-            None => false,
-        }
+        let mut shard = self.write(key);
+        self.remove_locked(&mut shard, key).is_some()
     }
 
     /// Deletes every data block of `(inode, view)`; returns how many.
     pub fn delete_blocks(&self, inode: u64, view: [u8; 16]) -> usize {
-        let mut removed = 0;
-        for shard in &self.shards {
-            let mut map = shard.write().unwrap_or_else(|e| e.into_inner());
-            let doomed: Vec<ObjectKey> = map
-                .keys()
-                .filter(|k| k.space == KeySpace::Data && k.inode == inode && k.view == view)
-                .copied()
-                .collect();
-            for key in doomed {
-                if let Some(old) = map.remove(&key) {
-                    self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                    self.index_write().remove(&key);
-                    removed += 1;
-                }
-            }
-        }
-        removed
+        self.block_keys(inode, view).iter().filter(|key| self.delete(key)).count()
     }
 
-    /// Number of stored objects.
-    pub fn object_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len() as u64).sum()
-    }
-
-    /// Total stored bytes.
-    pub fn byte_count(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Serializes the whole store to a snapshot byte stream.
-    ///
-    /// The SSP's "faithful storage" obligation (paper §VII) includes
-    /// durability; this is the persistence hook the `sharoes-sspd` binary
-    /// uses. Contents remain exactly the encrypted blobs clients uploaded.
-    ///
-    /// Layout: a body (`SHAROES2` magic, entry count, entries) followed by a
-    /// 40-byte trailer holding the body length and the body's SHA-256. A
-    /// torn write truncates the trailer or leaves a length mismatch; a bit
-    /// flip breaks the hash — either way [`Self::from_snapshot`] rejects the
-    /// file instead of restoring silently corrupted state.
+    /// Serializes the whole store as a `SHAROES2` snapshot, sorted by key so
+    /// equal logical state yields identical bytes: the state fingerprint the
+    /// concurrency and recovery-equivalence tests compare against the log
+    /// engine's.
     pub fn snapshot(&self) -> Vec<u8> {
-        // Sorted by key so equal logical state yields identical bytes:
-        // the snapshot doubles as a state fingerprint (the recovery
-        // equivalence tests compare it against the log engine's).
-        let mut entries: Vec<(ObjectKey, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            for (k, v) in shard.read().unwrap_or_else(|e| e.into_inner()).iter() {
-                entries.push((*k, v.clone()));
-            }
-        }
-        entries.sort_unstable_by_key(|e| e.0);
-        snapshot_from_entries(&entries)
-    }
-
-    /// Restores a store from snapshot bytes, verifying the integrity
-    /// trailer. Legacy `SHAROES1` (trailer-less) snapshots remain readable.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<ObjectStore, NetError> {
-        let body = if bytes.starts_with(SNAPSHOT_MAGIC_V1) {
-            bytes
-        } else {
-            verified_snapshot_body(bytes)?
-        };
-        let mut cur = Cursor::new(&body[8..]);
-        let count = u64::read(&mut cur)?;
-        let store = ObjectStore::new();
-        for _ in 0..count {
-            let key = ObjectKey::read(&mut cur)?;
-            let value = Vec::<u8>::read(&mut cur)?;
-            store.put(key, value);
-        }
-        cur.expect_end()?;
-        Ok(store)
-    }
-
-    /// Writes a snapshot to `path` atomically (write-then-rename), keeping
-    /// the previous on-disk generation at `<path>.bak` so a snapshot that
-    /// turns out corrupt (torn write, disk bit rot) has a fallback.
-    pub fn save_to(&self, path: &Path) -> Result<(), NetError> {
-        let _span = sharoes_obs::span!("ssp.snapshot_save");
-        let tmp = path.with_extension("tmp");
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&self.snapshot())?;
-        file.sync_all()?;
-        if path.exists() {
-            std::fs::rename(path, backup_path(path))?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Invariant: the snapshot is durable only once the *directory* is
-        // fsynced too — `sync_all` on the file persists its bytes, but the
-        // renames above live in the directory, and a crash before the
-        // directory itself reaches disk can lose the new name entirely
-        // (leaving neither primary nor `.bak` pointing at this generation).
-        sync_parent_dir(path)?;
-        sharoes_obs::counter("ssp_snapshot_saves_total").inc();
-        Ok(())
-    }
-
-    /// Loads a snapshot from `path`.
-    pub fn load_from(path: &Path) -> Result<ObjectStore, NetError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        Self::from_snapshot(&bytes)
-    }
-
-    /// Loads the newest valid snapshot generation: `path` if its trailer
-    /// verifies, else `<path>.bak`. This is the crash-recovery entry point
-    /// `sharoes-sspd` uses — a kill mid-checkpoint can leave the primary
-    /// torn, but the rename dance in [`Self::save_to`] guarantees the
-    /// backup is a complete earlier generation.
-    pub fn load_with_recovery(path: &Path) -> Result<(ObjectStore, SnapshotSource), NetError> {
-        let primary_err = match Self::load_from(path) {
-            Ok(store) => {
-                sharoes_obs::counter("ssp_recover_primary_total").inc();
-                return Ok((store, SnapshotSource::Primary));
-            }
-            Err(e) => e,
-        };
-        match Self::load_from(&backup_path(path)) {
-            Ok(store) => {
-                sharoes_obs::counter("ssp_recover_backup_total").inc();
-                sharoes_obs::obs_event!(sharoes_obs::Level::Warn, "ssp.recover_from_backup");
-                Ok((store, SnapshotSource::Backup))
-            }
-            // The primary's failure is the interesting one to report.
-            Err(_) => Err(primary_err),
-        }
-    }
-
-    /// Bytes stored per keyspace (storage-overhead accounting, bench E6).
-    ///
-    /// A `BTreeMap` so iteration order is deterministic — `HashMap` ordering
-    /// has already produced one real bug in this repo (PR 1, `scheme.rs`),
-    /// and stats output feeds the determinism tests.
-    pub fn bytes_by_space(&self) -> BTreeMap<KeySpace, u64> {
-        let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            for (key, value) in shard.read().unwrap_or_else(|e| e.into_inner()).iter() {
-                *out.entry(key.space).or_insert(0) += value.len() as u64;
-            }
-        }
-        out
-    }
-
-    /// One page of the key index in `ObjectKey` order, strictly after the
-    /// `after` cursor. Returns the page and whether the scan is complete.
-    ///
-    /// This is the cluster rebalancer's view of a node: keys only, never
-    /// content, so it reveals nothing the SSP doesn't already index. The
-    /// snapshot is not atomic across pages — keys written or deleted between
-    /// pages may be missed or duplicated, which rebalancing tolerates
-    /// (re-placing a key is idempotent).
-    ///
-    /// Served from the authenticated index in `O(log n + page)` — the old
-    /// collect-every-key-and-sort path ([`Self::scan_keys_flat`]) was
-    /// `O(n log n)` *per page* and survives only as a debug oracle.
-    pub fn scan_keys(&self, after: Option<&ObjectKey>, limit: usize) -> (Vec<ObjectKey>, bool) {
-        self.index_read().scan_page(after, limit)
-    }
-
-    /// The old flat scan: collect every live key, sort, slice the page.
-    /// Kept as a correctness oracle for the indexed [`Self::scan_keys`]
-    /// (tests + bench ablation); not used on any serving path.
-    pub fn scan_keys_flat(
-        &self,
-        after: Option<&ObjectKey>,
-        limit: usize,
-    ) -> (Vec<ObjectKey>, bool) {
-        let mut keys: Vec<ObjectKey> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read().unwrap_or_else(|e| e.into_inner());
-            keys.extend(map.keys().filter(|k| after.is_none_or(|a| *k > a)).copied());
-        }
-        keys.sort_unstable();
-        let done = keys.len() <= limit;
-        keys.truncate(limit);
-        (keys, done)
-    }
-
-    /// Root hash of the authenticated key index plus the live key count.
-    pub fn index_root(&self) -> ([u8; 32], u64) {
-        let mut index = self.index_write();
-        let root = index.root();
-        (root, index.len())
-    }
-
-    /// Canonical encoding of the index node content-addressed by `hash`,
-    /// if this store currently has it (serves the `IndexNode` wire op).
-    pub fn index_node_bytes(&self, hash: &[u8; 32]) -> Option<Vec<u8>> {
-        self.index_write().node_bytes(hash)
-    }
-
-    /// One scan page plus a Merkle range proof tying it to the current
-    /// root (serves the `ScanVerified` wire op).
-    pub fn scan_proof(&self, after: Option<&ObjectKey>, limit: u32) -> VerifiedPage {
-        self.index_write().prove_scan(after, limit)
+        snapshot_from_entries(&sorted_entries(&self.read_all()))
     }
 }
 
 /// Serializes `entries` (in the given order) into the `SHAROES2` snapshot
-/// format: body (magic, count, entries) + 40-byte integrity trailer.
+/// format: body (magic, count, entries) + 40-byte integrity trailer holding
+/// the body length and the body's SHA-256.
 ///
-/// This is the same format [`ObjectStore::snapshot`] emits; the log engine
-/// also writes its checkpoints with it, so a checkpoint *is* a loadable
-/// snapshot. Entry `i`'s value starts at `entry_offset + 29 + 4` (key wire
-/// size + length prefix) — [`parse_snapshot_index`] recovers those offsets.
+/// The log engine writes its checkpoints in this format, and
+/// [`ObjectStore::snapshot`] uses it as a state fingerprint. A torn write
+/// truncates the trailer or leaves a length mismatch; a bit flip breaks the
+/// hash — either way [`parse_snapshot_index`] rejects the bytes. Entry
+/// `i`'s value starts at `entry_offset + 29 + 4` (key wire size + length
+/// prefix).
 pub fn snapshot_from_entries(entries: &[(ObjectKey, Vec<u8>)]) -> Vec<u8> {
     let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
     let mut out = Vec::with_capacity(64 + total);
@@ -431,6 +126,8 @@ pub fn parse_snapshot_index(bytes: &[u8]) -> Result<Vec<(ObjectKey, u64, u32)>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharoes_index::MerkleIndex;
+    use sharoes_net::KeySpace;
 
     fn k(inode: u64, block: u32) -> ObjectKey {
         ObjectKey::data(inode, [7; 16], block)
@@ -659,11 +356,20 @@ mod tests {
         }
         s.put(ObjectKey::superblock([9; 16]), vec![42; 100]);
         let bytes = s.snapshot();
-        let restored = ObjectStore::from_snapshot(&bytes).unwrap();
-        assert_eq!(restored.object_count(), s.object_count());
-        assert_eq!(restored.byte_count(), s.byte_count());
-        assert_eq!(restored.get(&ObjectKey::superblock([9; 16])).unwrap(), vec![42; 100]);
-        assert_eq!(restored.get(&ObjectKey::data(7, [7; 16], 7)).unwrap(), vec![7u8; 8]);
+        let idx = parse_snapshot_index(&bytes).unwrap();
+        assert_eq!(idx.len() as u64, s.object_count());
+        assert_eq!(idx.iter().map(|e| e.2 as u64).sum::<u64>(), s.byte_count());
+        for (key, voff, vlen) in idx {
+            let value = &bytes[voff as usize..voff as usize + vlen as usize];
+            assert_eq!(s.get(&key).unwrap(), value, "{key:?}");
+        }
+        // Equal logical state, different shard count and history: same bytes.
+        let other = ObjectStore::with_shards(1);
+        other.put(ObjectKey::superblock([9; 16]), vec![42; 100]);
+        for i in (0..20u32).rev() {
+            other.put(ObjectKey::data(i as u64, [i as u8; 16], i), vec![i as u8; 1 + i as usize]);
+        }
+        assert_eq!(other.snapshot(), bytes);
     }
 
     #[test]
@@ -674,10 +380,6 @@ mod tests {
             (ObjectKey::metadata(2, [2; 16]), vec![9u8; 3]),
         ];
         let bytes = snapshot_from_entries(&entries);
-        // The entry stream is a loadable snapshot...
-        let s = ObjectStore::from_snapshot(&bytes).unwrap();
-        assert_eq!(s.object_count(), 3);
-        // ...and the index points straight at the value bytes.
         let idx = parse_snapshot_index(&bytes).unwrap();
         assert_eq!(idx.len(), 3);
         for ((key, voff, vlen), (ekey, ev)) in idx.iter().zip(&entries) {
@@ -693,15 +395,15 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_garbage() {
-        assert!(ObjectStore::from_snapshot(b"not a snapshot").is_err());
+        assert!(parse_snapshot_index(b"not a snapshot").is_err());
         let s = ObjectStore::new();
         s.put(ObjectKey::superblock([1; 16]), vec![1, 2, 3]);
         let mut bytes = s.snapshot();
         bytes.truncate(bytes.len() - 1);
-        assert!(ObjectStore::from_snapshot(&bytes).is_err());
+        assert!(parse_snapshot_index(&bytes).is_err());
         let mut trailing = s.snapshot();
         trailing.push(0);
-        assert!(ObjectStore::from_snapshot(&trailing).is_err());
+        assert!(parse_snapshot_index(&trailing).is_err());
     }
 
     #[test]
@@ -711,14 +413,11 @@ mod tests {
             s.put(k(i as u64, i), vec![i as u8; 9]);
         }
         let good = s.snapshot();
-        assert!(ObjectStore::from_snapshot(&good).is_ok());
+        assert!(parse_snapshot_index(&good).is_ok());
         for pos in 0..good.len() {
             let mut bad = good.clone();
             bad[pos] ^= 0x41;
-            assert!(
-                ObjectStore::from_snapshot(&bad).is_err(),
-                "flip at byte {pos} went undetected"
-            );
+            assert!(parse_snapshot_index(&bad).is_err(), "flip at byte {pos} went undetected");
         }
     }
 
@@ -729,110 +428,13 @@ mod tests {
         let good = s.snapshot();
         for keep in 0..good.len() {
             assert!(
-                ObjectStore::from_snapshot(&good[..keep]).is_err(),
+                parse_snapshot_index(&good[..keep]).is_err(),
                 "truncation to {keep} bytes went undetected"
             );
         }
         let mut padded = good.clone();
         padded.push(0);
-        assert!(ObjectStore::from_snapshot(&padded).is_err(), "trailing garbage accepted");
-    }
-
-    #[test]
-    fn legacy_v1_snapshots_still_load() {
-        // Hand-build a trailer-less SHAROES1 snapshot.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"SHAROES1");
-        1u64.write(&mut bytes);
-        k(4, 2).write(&mut bytes);
-        vec![9u8; 12].write(&mut bytes);
-        let s = ObjectStore::from_snapshot(&bytes).unwrap();
-        assert_eq!(s.get(&k(4, 2)).unwrap(), vec![9; 12]);
-        // Saving re-emits the current format.
-        assert!(s.snapshot().starts_with(b"SHAROES2"));
-    }
-
-    #[test]
-    fn save_keeps_previous_generation_and_recovery_falls_back() {
-        let dir = std::env::temp_dir().join(format!("sharoes-store-gen-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-
-        let s = ObjectStore::new();
-        s.put(k(1, 0), b"generation one".to_vec());
-        s.save_to(&path).unwrap();
-        s.put(k(1, 0), b"generation two".to_vec());
-        s.save_to(&path).unwrap();
-        assert!(backup_path(&path).exists(), "previous generation must be kept");
-
-        // Intact primary wins.
-        let (fresh, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Primary);
-        assert_eq!(fresh.get(&k(1, 0)).unwrap(), b"generation two");
-
-        // Corrupt the primary (single byte mid-file): fall back to gen one.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let (fresh, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Backup);
-        assert_eq!(fresh.get(&k(1, 0)).unwrap(), b"generation one");
-
-        // Torn write (truncated primary): same fallback.
-        let good = std::fs::read(backup_path(&path)).unwrap();
-        std::fs::write(&path, &good[..good.len() - 7]).unwrap();
-        let (_, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Backup);
-
-        // Both generations bad: the primary's error surfaces.
-        std::fs::write(backup_path(&path), b"junk").unwrap();
-        assert!(ObjectStore::load_with_recovery(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_prefers_primary_even_when_backup_is_newer() {
-        // Recovery order is positional (primary, then `.bak`), never
-        // timestamp-based: a valid primary wins even if the backup file was
-        // written afterwards, and the backup is only consulted when the
-        // primary is missing or fails verification.
-        let dir = std::env::temp_dir().join(format!("sharoes-store-order-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-
-        let older = ObjectStore::new();
-        older.put(k(1, 0), b"primary".to_vec());
-        std::fs::write(&path, older.snapshot()).unwrap();
-
-        // Write a *newer* valid snapshot directly to the backup slot.
-        let newer = ObjectStore::new();
-        newer.put(k(1, 0), b"backup-written-later".to_vec());
-        std::fs::write(backup_path(&path), newer.snapshot()).unwrap();
-
-        let (s, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Primary);
-        assert_eq!(s.get(&k(1, 0)).unwrap(), b"primary");
-
-        // Primary missing entirely: the newer backup is used.
-        std::fs::remove_file(&path).unwrap();
-        let (s, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Backup);
-        assert_eq!(s.get(&k(1, 0)).unwrap(), b"backup-written-later");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn save_load_files() {
-        let dir = std::env::temp_dir().join(format!("sharoes-store-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-        let s = ObjectStore::new();
-        s.put(ObjectKey::metadata(5, [5; 16]), vec![5; 50]);
-        s.save_to(&path).unwrap();
-        let restored = ObjectStore::load_from(&path).unwrap();
-        assert_eq!(restored.get(&ObjectKey::metadata(5, [5; 16])).unwrap(), vec![5; 50]);
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(parse_snapshot_index(&padded).is_err(), "trailing garbage accepted");
     }
 
     #[test]

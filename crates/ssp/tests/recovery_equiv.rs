@@ -3,12 +3,11 @@
 //! seeded workload — and both match an in-memory `ObjectStore` model.
 //! Also pins the fallback ordering rules with checkpoints in the mix:
 //! a rotten newest checkpoint recovers from the surviving WAL when it
-//! bridges, fails loudly when it cannot, and `ObjectStore`'s `.bak`
-//! fallback ignores engine checkpoint files sharing the directory.
+//! bridges, and fails loudly when it cannot.
 
 use sharoes_net::ObjectKey;
 use sharoes_ssp::segment::classify;
-use sharoes_ssp::{EngineConfig, FaultFs, LogEngine, ObjectStore, SnapshotSource, Vfs};
+use sharoes_ssp::{EngineConfig, FaultFs, LogEngine, ObjectStore, Vfs};
 use sharoes_testkit::rng::{test_rng_for, test_seed, HmacDrbg, RandomSource};
 use std::path::Path;
 use std::sync::Arc;
@@ -178,41 +177,4 @@ fn rotten_checkpoint_without_bridge_fails_loudly() {
         err.to_string().contains("corruption"),
         "expected a typed corruption error, got: {err}"
     );
-}
-
-/// `ObjectStore::load_with_recovery`'s primary→`.bak` ordering is
-/// unaffected by engine checkpoint files sharing the directory.
-#[test]
-fn bak_fallback_ordering_holds_with_checkpoints_present() {
-    let dir = std::env::temp_dir().join(format!("sharoes-recovery-equiv-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("store.snap");
-
-    let store = ObjectStore::new();
-    store.put(ObjectKey::metadata(1, [9; 16]), vec![1, 2, 3]);
-    store.save_to(&snap).unwrap();
-    store.put(ObjectKey::metadata(2, [9; 16]), vec![4, 5]);
-    store.save_to(&snap).unwrap(); // rotates generation 1 to store.snap.bak
-
-    // Engine checkpoint files (one valid-looking, one garbage) beside it.
-    std::fs::write(dir.join("checkpoint-0000000000000010.snap"), b"not a snapshot").unwrap();
-    std::fs::write(dir.join("checkpoint-00000000000000ff.snap"), store.snapshot()).unwrap();
-
-    // Primary intact: loads the newest generation, ignoring checkpoints.
-    let (loaded, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Primary);
-    assert_eq!(loaded.snapshot(), store.snapshot());
-
-    // Corrupt the primary: falls back to `.bak` (generation 1), still
-    // ignoring the checkpoint files entirely.
-    let mut bytes = std::fs::read(&snap).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&snap, bytes).unwrap();
-    let (loaded, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Backup);
-    assert_eq!(loaded.object_count(), 1);
-    assert!(loaded.snapshot() != store.snapshot());
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,6 @@
 //! Chaos suite: the full client stack driven through a deterministic fault
-//! injector, plus SSP crash/restart recovery and client degraded mode.
+//! injector, plus SSP restart recovery on the WAL engine and client degraded
+//! mode.
 //!
 //! Everything here is replayable: the fault schedule, the client session,
 //! and the deployment are pure functions of the printed seed. Rerun a
@@ -12,7 +13,9 @@ use sharoes::net::{
     ObjectKey, RequestHandler, ResilientTransport, RetryPolicy, Transport, WireRead, WireWrite,
 };
 use sharoes::prelude::*;
-use sharoes::ssp::{backup_path, ObjectStore, SnapshotSource, SspServer};
+use sharoes::ssp::segment::classify;
+use sharoes::ssp::{EngineConfig, LogEngine, RealFs, SspServer, Vfs};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -31,6 +34,11 @@ struct World {
 
 /// Builds a deployment that is a pure function of `seed`.
 fn deploy(seed: u64) -> World {
+    deploy_on(seed, SspServer::new().into_shared())
+}
+
+/// [`deploy`] onto a given (empty) server, e.g. one on the WAL engine.
+fn deploy_on(seed: u64, server: Arc<SspServer>) -> World {
     let spec =
         TreeSpec { users: 2, dirs_per_user: 1, files_per_dir: 1, seed, ..Default::default() };
     let (local, _) = generate(&spec).expect("treegen");
@@ -38,7 +46,6 @@ fn deploy(seed: u64) -> World {
     let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
     let config = test_config();
     let pool = Arc::new(SigKeyPool::new(config.crypto));
-    let server = SspServer::new().into_shared();
     let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
     Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
         .migrate(&mut transport, &mut rng)
@@ -53,10 +60,17 @@ fn deploy(seed: u64) -> World {
     }
 }
 
-/// The store's contents as (key, value) pairs sorted by wire-encoded key
-/// (shard hashing randomizes the raw snapshot order, not the entries).
+/// The server's `SHAROES2` state fingerprint, whichever backend it runs on.
+fn snapshot_of(server: &SspServer) -> Vec<u8> {
+    match server.engine() {
+        Some(engine) => engine.snapshot().expect("engine snapshot"),
+        None => server.store().snapshot(),
+    }
+}
+
+/// The store's contents as (key, value) pairs sorted by wire-encoded key.
 fn sorted_entries(server: &SspServer) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let snap = server.store().snapshot();
+    let snap = snapshot_of(server);
     let mut cur = sharoes::net::Cursor::new(&snap[8..]);
     let count = u64::read(&mut cur).expect("snapshot count");
     let mut entries = Vec::with_capacity(count as usize);
@@ -178,25 +192,41 @@ fn chaos_schedule_is_replayable_from_seed() {
     assert_eq!(entries_a, entries_b);
 }
 
+/// An empty per-test directory under the system temp dir.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sharoes-chaos-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Opens (recovering) the WAL engine over `dir` on the real filesystem,
+/// exactly as `sharoes-sspd --wal DIR` does.
+fn open_engine(dir: &Path) -> Result<Arc<LogEngine>, NetError> {
+    LogEngine::open(Arc::new(RealFs), dir, EngineConfig::default()).map(Arc::new)
+}
+
 #[test]
 fn sspd_restart_recovers_checkpointed_objects() {
-    let dir = std::env::temp_dir().join(format!("sharoes-chaos-restart-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("ssp.snap");
+    let dir = fresh_dir("restart");
 
-    // Generation 1: populate and checkpoint (what sspd's snapshot loop does).
-    let world = deploy(0xC4A5_0001);
+    // Populate over the WAL engine, checkpoint, then write a WAL tail past
+    // the checkpoint.
+    let engine = open_engine(&dir).unwrap();
+    let world = deploy_on(0xC4A5_0001, SspServer::with_engine(Arc::clone(&engine)).into_shared());
     let (mut client, _) = chaos_client(&world, 0.0, 1, 2);
     let reads = run_workload(&mut client);
-    world.server.store().save_to(&snap).unwrap();
+    engine.compact().unwrap();
+    let late = b"written after the checkpoint".to_vec();
+    client.create("/home/user0/chaos/late", Mode::from_octal(0o644)).expect("create");
+    client.write_file("/home/user0/chaos/late", &late).expect("write");
     let entries_before = sorted_entries(&world.server);
     drop(client);
+    drop(engine);
     drop(world.server); // "kill" the SSP process
 
-    // Restart: recover the store from disk, serve it over TCP, remount.
-    let (store, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Primary);
-    let server = SspServer::with_store(Arc::new(store)).into_shared();
+    // Restart: recover checkpoint + WAL tail, serve it over TCP, remount.
+    let server = SspServer::with_engine(open_engine(&dir).unwrap()).into_shared();
     assert_eq!(sorted_entries(&server), entries_before, "recovery must be lossless");
     let handle = sharoes::ssp::serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
     let transport = TcpTransport::connect(&handle.addr().to_string()).unwrap();
@@ -209,44 +239,66 @@ fn sspd_restart_recovers_checkpointed_objects() {
         Arc::clone(&world.pool),
         HmacDrbg::from_seed_u64(77),
     );
-    client.mount().expect("mount against recovered store");
+    client.mount().expect("mount against recovered engine");
     assert_eq!(client.read("/home/user0/chaos/f1").expect("read after restart"), reads[1]);
+    assert_eq!(client.read("/home/user0/chaos/late").expect("read WAL tail"), late);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Recovery after the newest checkpoint was damaged must either bridge from
+/// the WAL to exactly the newest state or fail with a typed corruption
+/// error — never come up on the older checkpoint generation.
+fn assert_recovers_newest_or_fails_loudly(dir: &Path, newest: &[(Vec<u8>, Vec<u8>)]) {
+    match open_engine(dir) {
+        Ok(engine) => {
+            let recovered = sorted_entries(&SspServer::with_engine(engine));
+            assert_eq!(recovered, newest, "recovery served a stale generation");
+        }
+        Err(NetError::Corrupt(_)) => {}
+        Err(e) => panic!("expected a typed corruption error, got: {e}"),
+    }
+}
+
 #[test]
 fn torn_checkpoint_falls_back_to_previous_generation() {
-    let dir = std::env::temp_dir().join(format!("sharoes-chaos-torn-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("ssp.snap");
+    let dir = fresh_dir("torn");
 
-    let world = deploy(0xC4A5_0002);
-    world.server.store().save_to(&snap).unwrap();
+    // Two checkpoint generations: the migrated tree, then the workload on
+    // top. Each compaction prunes the WAL it covers.
+    let engine = open_engine(&dir).unwrap();
+    let world = deploy_on(0xC4A5_0002, SspServer::with_engine(Arc::clone(&engine)).into_shared());
+    engine.compact().unwrap();
     let gen1 = sorted_entries(&world.server);
-
-    // Second checkpoint with more data, then tear it mid-write (as a kill
-    // during the snapshot loop would).
     let (mut client, _) = chaos_client(&world, 0.0, 1, 3);
     run_workload(&mut client);
-    world.server.store().save_to(&snap).unwrap();
-    let full = std::fs::read(&snap).unwrap();
-    std::fs::write(&snap, &full[..full.len() / 2]).unwrap();
+    engine.compact().unwrap();
+    let gen2 = sorted_entries(&world.server);
+    assert_ne!(gen1, gen2);
+    drop(client);
+    drop(engine);
+    drop(world.server);
 
-    // Recovery detects the torn primary and restores the prior generation.
-    let (store, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Backup);
-    assert!(backup_path(&snap).exists());
-    let recovered = sorted_entries(&SspServer::with_store(Arc::new(store)));
-    assert_eq!(recovered, gen1, "fallback must be exactly the previous generation");
+    let checkpoints = classify(&RealFs.list(&dir).unwrap()).checkpoints;
+    assert_eq!(checkpoints.len(), 2, "the newest checkpoint keeps one fallback generation");
+    let newest = dir.join(&checkpoints[1].1);
+    let full = std::fs::read(&newest).unwrap();
 
-    // A single flipped byte (disk rot) is equally detected.
+    // Torn mid-write (as a kill during the checkpoint write would leave it).
+    std::fs::write(&newest, &full[..full.len() / 2]).unwrap();
+    assert_recovers_newest_or_fails_loudly(&dir, &gen2);
+
+    // A single flipped byte (disk rot) is held to the same rule.
     let mut flipped = full.clone();
     let mid = flipped.len() / 3;
     flipped[mid] ^= 0x10;
-    std::fs::write(&snap, &flipped).unwrap();
-    let (_, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Backup);
+    std::fs::write(&newest, &flipped).unwrap();
+    assert_recovers_newest_or_fails_loudly(&dir, &gen2);
+
+    // Intact again: recovery lands on the newest generation.
+    std::fs::write(&newest, &full).unwrap();
+    let recovered = sorted_entries(&SspServer::with_engine(open_engine(&dir).unwrap()));
+    assert_eq!(recovered, gen2);
     std::fs::remove_dir_all(&dir).ok();
 }
 
