@@ -4,7 +4,11 @@
 //! Runs under the in-tree `sharoes_testkit::bench` harness; see DESIGN.md
 //! for the sampling model and the `SHAROES_BENCH_*` knobs.
 
-use sharoes_crypto::{Aes128, EsignPrivateKey, HmacDrbg, RsaPrivateKey, Sha256, SymKey};
+use sharoes_crypto::montgomery::MontgomeryCtx;
+use sharoes_crypto::prime::generate_prime;
+use sharoes_crypto::{
+    Aes128, BigUint, EsignPrivateKey, HmacDrbg, RandomSource, RsaPrivateKey, Sha256, SymKey,
+};
 use sharoes_testkit::bench::BenchRunner;
 use std::hint::black_box;
 
@@ -81,11 +85,56 @@ fn bench_esign(c: &mut BenchRunner) {
     group.finish();
 }
 
+/// Key generation and the prime search under it: what signing-pool prefill
+/// (two ESIGN-768 pairs per object) and keyring set-up (one RSA-2048 key per
+/// user and group) spend their time on. Every iteration draws a fresh key
+/// from one running DRBG, so the figures average over candidate counts.
+fn bench_keygen(c: &mut BenchRunner) {
+    let mut group = c.group("esign768");
+    group.bench_function("keygen", |b| {
+        let mut rng = HmacDrbg::from_seed_u64(21);
+        b.iter(|| EsignPrivateKey::generate(768, &mut rng).unwrap())
+    });
+    group.finish();
+
+    let mut group = c.group("rsa2048");
+    group.bench_function("keygen", |b| {
+        let mut rng = HmacDrbg::from_seed_u64(22);
+        b.iter(|| RsaPrivateKey::generate(2048, &mut rng).unwrap())
+    });
+    group.finish();
+
+    c.bench_function("prime256", |b| {
+        let mut rng = HmacDrbg::from_seed_u64(23);
+        b.iter(|| generate_prime(256, &mut rng).unwrap())
+    });
+
+    // One Miller–Rabin round on a 256-bit candidate is one such modexp.
+    let mut rng = HmacDrbg::from_seed_u64(24);
+    let p = generate_prime(256, &mut rng).unwrap();
+    let ctx = MontgomeryCtx::new(p.clone());
+    let base = BigUint::random_below(&mut rng, &p);
+    let exp = p.sub(&BigUint::one());
+    c.bench_function("modexp256", |b| b.iter(|| ctx.pow(black_box(&base), black_box(&exp))));
+
+    let mut group = c.group("drbg");
+    group.bench_function("fill_32", |b| {
+        let mut rng = HmacDrbg::from_seed_u64(25);
+        let mut buf = [0u8; 32];
+        b.iter(|| {
+            rng.fill_bytes(&mut buf);
+            buf[0]
+        })
+    });
+    group.finish();
+}
+
 fn main() {
     let mut c = BenchRunner::from_args("crypto_micro");
     bench_aes(&mut c);
     bench_hashes(&mut c);
     bench_rsa(&mut c);
     bench_esign(&mut c);
+    bench_keygen(&mut c);
     c.finish();
 }

@@ -434,7 +434,6 @@ mod tests {
 
     #[test]
     fn a5_overhead_grows_with_fault_rate_and_workload_completes() {
-        let _serial = crate::workloads::wall_clock_lock();
         let points = fault_overhead(3, &[0.0, 0.2], &quick());
         let clean = &points[0];
         let faulty = &points[1];

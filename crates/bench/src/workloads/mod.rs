@@ -1,14 +1,5 @@
 //! Workload generators and figure harnesses.
 
-/// Serializes tests whose assertions read measured wall-clock crypto time
-/// against tests that load every core: run concurrently, CPU contention
-/// inflates the measured share past its threshold.
-#[cfg(test)]
-pub(crate) fn wall_clock_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 pub mod ablations;
 pub mod andrew;
 pub mod concurrency;

@@ -547,7 +547,7 @@ impl BigUint {
         a.shl(common)
     }
 
-    fn trailing_zeros(&self) -> usize {
+    pub(crate) fn trailing_zeros(&self) -> usize {
         for (i, &l) in self.limbs.iter().enumerate() {
             if l != 0 {
                 return i * 64 + l.trailing_zeros() as usize;
@@ -615,13 +615,9 @@ impl BigUint {
         let bytes = bits.div_ceil(8);
         let mut buf = vec![0u8; bytes];
         rng.fill_bytes(&mut buf);
+        // Clear the excess high bits of the top byte, then force the top bit.
+        buf[0] &= 0xFF >> (bytes * 8 - bits);
         let mut n = Self::from_bytes_be(&buf);
-        // Clear any excess high bits, then force the top bit.
-        n = n.shr(0); // no-op, keeps normalization obvious
-        let excess = bytes * 8 - bits;
-        if excess > 0 {
-            n = n.rem(&Self::one().shl(bits));
-        }
         n.set_bit(bits - 1);
         n
     }

@@ -8,13 +8,20 @@ pub trait Digest: Clone {
     const BLOCK_LEN: usize;
     /// Human-readable algorithm name.
     const NAME: &'static str;
+    /// The digest as a fixed-size array.
+    type Output: AsRef<[u8]>;
 
     /// Fresh hash state.
     fn new() -> Self;
     /// Absorbs more message bytes.
     fn update(&mut self, data: &[u8]);
     /// Consumes the state and produces the digest.
-    fn finalize_vec(self) -> Vec<u8>;
+    fn finalize(self) -> Self::Output;
+
+    /// [`Digest::finalize`] as a `Vec`.
+    fn finalize_vec(self) -> Vec<u8> {
+        self.finalize().as_ref().to_vec()
+    }
 
     /// One-shot digest of `data`.
     fn hash(data: &[u8]) -> Vec<u8> {

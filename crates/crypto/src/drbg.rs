@@ -5,7 +5,8 @@
 //! reproducible [`HmacDrbg`] (NIST SP 800-90A HMAC_DRBG over SHA-256) for the
 //! system generator.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
+use crate::sha256::Sha256;
 
 /// A source of random bytes.
 pub trait RandomSource {
@@ -30,7 +31,7 @@ pub struct SystemRandom(SystemSource);
 
 enum SystemSource {
     Dev(std::fs::File),
-    Fallback(HmacDrbg),
+    Fallback(Box<HmacDrbg>),
 }
 
 impl SystemRandom {
@@ -38,7 +39,7 @@ impl SystemRandom {
     pub fn new() -> Self {
         match std::fs::File::open("/dev/urandom") {
             Ok(f) => SystemRandom(SystemSource::Dev(f)),
-            Err(_) => SystemRandom(SystemSource::Fallback(Self::fallback_drbg())),
+            Err(_) => SystemRandom(SystemSource::Fallback(Box::new(Self::fallback_drbg()))),
         }
     }
 
@@ -75,7 +76,7 @@ impl RandomSource for SystemRandom {
                     // degrade to the fallback rather than panic.
                     let mut drbg = Self::fallback_drbg();
                     drbg.fill_bytes(buf);
-                    self.0 = SystemSource::Fallback(drbg);
+                    self.0 = SystemSource::Fallback(Box::new(drbg));
                 }
             }
             SystemSource::Fallback(drbg) => drbg.fill_bytes(buf),
@@ -89,7 +90,8 @@ impl RandomSource for SystemRandom {
 /// makes key generation in tests and benchmark fixtures reproducible.
 #[derive(Clone)]
 pub struct HmacDrbg {
-    k: [u8; 32],
+    /// The HMAC key `K`, kept with its padded blocks absorbed.
+    k: HmacKey<Sha256>,
     v: [u8; 32],
     reseed_counter: u64,
 }
@@ -97,7 +99,7 @@ pub struct HmacDrbg {
 impl HmacDrbg {
     /// Instantiates the DRBG from seed material.
     pub fn new(seed: &[u8]) -> Self {
-        let mut drbg = HmacDrbg { k: [0u8; 32], v: [1u8; 32], reseed_counter: 1 };
+        let mut drbg = HmacDrbg { k: HmacKey::new(&[0u8; 32]), v: [1u8; 32], reseed_counter: 1 };
         drbg.update(Some(seed));
         drbg
     }
@@ -113,34 +115,23 @@ impl HmacDrbg {
         self.reseed_counter = 1;
     }
 
+    /// `K = HMAC(K, V || 0x00 || data); V = HMAC(K, V)`, and when data is
+    /// present once more with `0x01`.
     fn update(&mut self, data: Option<&[u8]>) {
-        let mut msg = Vec::with_capacity(32 + 1 + data.map_or(0, |d| d.len()));
-        msg.extend_from_slice(&self.v);
-        msg.push(0x00);
+        self.k = HmacKey::new(&self.k.mac(&[&self.v, &[0x00], data.unwrap_or_default()]));
+        self.v = self.k.mac(&[&self.v]);
         if let Some(d) = data {
-            msg.extend_from_slice(d);
-        }
-        self.k = hmac_sha256(&self.k, &msg);
-        self.v = hmac_sha256(&self.k, &self.v);
-        if let Some(d) = data {
-            let mut msg = Vec::with_capacity(32 + 1 + d.len());
-            msg.extend_from_slice(&self.v);
-            msg.push(0x01);
-            msg.extend_from_slice(d);
-            self.k = hmac_sha256(&self.k, &msg);
-            self.v = hmac_sha256(&self.k, &self.v);
+            self.k = HmacKey::new(&self.k.mac(&[&self.v, &[0x01], d]));
+            self.v = self.k.mac(&[&self.v]);
         }
     }
 }
 
 impl RandomSource for HmacDrbg {
     fn fill_bytes(&mut self, buf: &mut [u8]) {
-        let mut offset = 0;
-        while offset < buf.len() {
-            self.v = hmac_sha256(&self.k, &self.v);
-            let take = (buf.len() - offset).min(32);
-            buf[offset..offset + take].copy_from_slice(&self.v[..take]);
-            offset += take;
+        for chunk in buf.chunks_mut(32) {
+            self.v = self.k.mac(&[&self.v]);
+            chunk.copy_from_slice(&self.v[..chunk.len()]);
         }
         self.update(None);
         self.reseed_counter += 1;

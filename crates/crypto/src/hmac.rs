@@ -12,49 +12,63 @@ use crate::sha256::Sha256;
 
 /// Computes `HMAC_D(key, message)`.
 pub fn hmac<D: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
-    let mut key_block = vec![0u8; D::BLOCK_LEN];
-    if key.len() > D::BLOCK_LEN {
-        let hashed = D::hash(key);
-        key_block[..hashed.len()].copy_from_slice(&hashed);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    HmacKey::<D>::new(key).mac(&[message]).as_ref().to_vec()
+}
+
+/// An HMAC key with its padded blocks already absorbed: the inner and outer
+/// hash states are cloned for each message, so a MAC under a reused key
+/// costs no key-setup compressions and no allocation.
+#[derive(Clone)]
+pub(crate) struct HmacKey<D> {
+    inner: D,
+    outer: D,
+}
+
+impl<D: Digest> HmacKey<D> {
+    /// Absorbs `key` (hashed first if longer than a block).
+    pub(crate) fn new(key: &[u8]) -> Self {
+        // Every digest here has a 64-byte block.
+        let mut block = [0u8; 64];
+        assert_eq!(D::BLOCK_LEN, block.len());
+        if key.len() > block.len() {
+            let hashed = D::hash(key);
+            block[..hashed.len()].copy_from_slice(&hashed);
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let keyed = |x: u8| {
+            let mut h = D::new();
+            h.update(&block.map(|k| k ^ x));
+            h
+        };
+        HmacKey { inner: keyed(0x36), outer: keyed(0x5c) }
     }
 
-    let mut inner = D::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_hash = inner.finalize_vec();
-
-    let mut outer = D::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_hash);
-    outer.finalize_vec()
+    /// The MAC of the concatenation of `parts`.
+    pub(crate) fn mac(&self, parts: &[&[u8]]) -> D::Output {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(inner.finalize().as_ref());
+        outer.finalize()
+    }
 }
 
 /// HMAC-SHA-256 returning a fixed array.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let v = hmac::<Sha256>(key, message);
-    let mut out = [0u8; 32];
-    out.copy_from_slice(&v);
-    out
+    HmacKey::<Sha256>::new(key).mac(&[message])
 }
 
 /// HMAC-SHA-1 returning a fixed array (paper-fidelity option).
 pub fn hmac_sha1(key: &[u8], message: &[u8]) -> [u8; 20] {
-    let v = hmac::<Sha1>(key, message);
-    let mut out = [0u8; 20];
-    out.copy_from_slice(&v);
-    out
+    HmacKey::<Sha1>::new(key).mac(&[message])
 }
 
 /// HMAC-MD5 returning a fixed array (paper-fidelity option; broken, unused).
 pub fn hmac_md5(key: &[u8], message: &[u8]) -> [u8; 16] {
-    let v = hmac::<Md5>(key, message);
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&v);
-    out
+    HmacKey::<Md5>::new(key).mac(&[message])
 }
 
 /// Constant-time byte-slice equality, for MAC comparisons.

@@ -37,6 +37,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// `unsafe` is confined to the SHA-NI module, and every block there states
+// why it is sound.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aes;
 pub mod bignum;
@@ -54,6 +58,9 @@ pub mod prime;
 pub mod rsa;
 pub mod sha1;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha256_ni;
 
 pub use aes::Aes128;
 pub use bignum::BigUint;

@@ -36,10 +36,9 @@ pub struct Md5 {
 impl Md5 {
     /// One-shot convenience digest.
     pub fn digest(data: &[u8]) -> [u8; 16] {
-        let out = <Self as Digest>::hash(data);
-        let mut arr = [0u8; 16];
-        arr.copy_from_slice(&out);
-        arr
+        let mut h = <Self as Digest>::new();
+        h.update(data);
+        h.finalize()
     }
 
     fn compress(&mut self, block: &[u8]) {
@@ -85,6 +84,7 @@ impl Digest for Md5 {
     const OUTPUT_LEN: usize = 16;
     const BLOCK_LEN: usize = 64;
     const NAME: &'static str = "MD5";
+    type Output = [u8; 16];
 
     fn new() -> Self {
         Md5 {
@@ -119,7 +119,7 @@ impl Digest for Md5 {
         }
     }
 
-    fn finalize_vec(mut self) -> Vec<u8> {
+    fn finalize(mut self) -> [u8; 16] {
         let bit_len = self.total_len.wrapping_mul(8);
         let mut pad = Vec::with_capacity(72);
         pad.push(0x80);
@@ -128,9 +128,9 @@ impl Digest for Md5 {
         pad.extend(std::iter::repeat_n(0u8, zeros));
         pad.extend_from_slice(&bit_len.to_le_bytes());
         self.update_no_count(&pad);
-        let mut out = Vec::with_capacity(16);
-        for s in self.state {
-            out.extend_from_slice(&s.to_le_bytes());
+        let mut out = [0u8; 16];
+        for (chunk, s) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&s.to_le_bytes());
         }
         out
     }

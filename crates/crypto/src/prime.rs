@@ -6,11 +6,12 @@
 use crate::bignum::BigUint;
 use crate::drbg::RandomSource;
 use crate::error::CryptoError;
+use crate::montgomery::MontgomeryCtx;
 
 /// Number of Miller–Rabin rounds; 2^-128 error bound for random candidates.
 const MILLER_RABIN_ROUNDS: usize = 32;
 
-/// Small primes used for trial division (all odd primes below 2000).
+/// Small primes used for trial division (all primes below 2000).
 fn small_primes() -> &'static [u64] {
     use std::sync::OnceLock;
     static PRIMES: OnceLock<Vec<u64>> = OnceLock::new();
@@ -32,19 +33,56 @@ fn small_primes() -> &'static [u64] {
     })
 }
 
+/// A run of consecutive small primes whose product fits in a `u64`.
+struct PrimeGroup {
+    product: u64,
+    primes: std::ops::Range<usize>,
+}
+
+/// The small-prime table cut greedily, in ascending order, into groups with
+/// `u64` products: one multi-limb remainder per group instead of per prime.
+fn prime_groups() -> &'static [PrimeGroup] {
+    use std::sync::OnceLock;
+    static GROUPS: OnceLock<Vec<PrimeGroup>> = OnceLock::new();
+    GROUPS.get_or_init(|| {
+        let primes = small_primes();
+        let mut groups = Vec::new();
+        let mut start = 0;
+        while start < primes.len() {
+            let mut product = primes[start];
+            let mut end = start + 1;
+            while let Some(next) = primes.get(end).and_then(|&p| product.checked_mul(p)) {
+                product = next;
+                end += 1;
+            }
+            groups.push(PrimeGroup { product, primes: start..end });
+            start = end;
+        }
+        groups
+    })
+}
+
+/// `n mod m` for a single-limb modulus, without allocating.
+fn rem_u64(n: &BigUint, m: u64) -> u64 {
+    n.limbs
+        .iter()
+        .rev()
+        .fold(0u64, |r, &limb| ((((r as u128) << 64) | limb as u128) % m as u128) as u64)
+}
+
 /// Deterministic trial division by the small-prime table.
 ///
 /// Returns `Some(true/false)` when trial division decides, `None` otherwise.
 fn trial_division(n: &BigUint) -> Option<bool> {
-    for &p in small_primes() {
-        let pp = BigUint::from_u64(p);
-        match n.cmp_ref(&pp) {
-            std::cmp::Ordering::Less => return Some(false), // n < 2 handled by caller
-            std::cmp::Ordering::Equal => return Some(true),
-            std::cmp::Ordering::Greater => {}
-        }
-        let (_, r) = n.div_rem_u64(p);
-        if r == 0 {
+    let primes = small_primes();
+    let largest = *primes.last().expect("nonempty prime table");
+    if let Some(v) = n.to_u64().filter(|&v| v <= largest) {
+        // n < 2 is handled by the caller.
+        return Some(primes.binary_search(&v).is_ok());
+    }
+    for group in prime_groups() {
+        let r = rem_u64(n, group.product);
+        if primes[group.primes.clone()].iter().any(|&p| r.is_multiple_of(p)) {
             return Some(false);
         }
     }
@@ -69,18 +107,15 @@ pub fn is_probable_prime<R: RandomSource + ?Sized>(n: &BigUint, rng: &mut R) -> 
 
     // n - 1 = d * 2^s with d odd
     let n_minus_1 = n.sub(&BigUint::one());
-    let s = {
-        let mut s = 0usize;
-        let mut t = n_minus_1.clone();
-        while t.is_even() {
-            t = t.shr(1);
-            s += 1;
-        }
-        s
-    };
+    let s = n_minus_1.trailing_zeros();
     let d = n_minus_1.shr(s);
 
-    let ctx = crate::montgomery::MontgomeryCtx::new(n.clone());
+    // The squaring chain stays in Montgomery form, where one and n - 1 are
+    // R mod n and n - R mod n; residues are canonical, so comparing limbs
+    // decides exactly what comparing the integers would.
+    let ctx = MontgomeryCtx::new(n.clone());
+    let mut scratch = ctx.scratch();
+    let minus_one = ctx.mont_form(&n_minus_1);
     'witness: for _ in 0..MILLER_RABIN_ROUNDS {
         // Random base in [2, n-2]
         let a = loop {
@@ -89,13 +124,14 @@ pub fn is_probable_prime<R: RandomSource + ?Sized>(n: &BigUint, rng: &mut R) -> 
                 break a;
             }
         };
-        let mut x = ctx.pow(&a, &d);
-        if x.is_one() || x.cmp_ref(&n_minus_1) == std::cmp::Ordering::Equal {
+        ctx.pow_mont(&mut scratch, &a, &d);
+        let x = scratch.result();
+        if x == ctx.one_mont() || x == minus_one {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = ctx.mul_mod(&x, &x);
-            if x.cmp_ref(&n_minus_1) == std::cmp::Ordering::Equal {
+            ctx.square(&mut scratch);
+            if scratch.result() == minus_one {
                 continue 'witness;
             }
         }
@@ -178,6 +214,54 @@ mod tests {
             assert_eq!(p.bit_len(), bits);
             assert!(p.is_odd());
             assert!(is_probable_prime(&p, &mut rng));
+        }
+    }
+
+    #[test]
+    fn grouped_trial_division_matches_per_prime_remainders() {
+        let primes = small_primes();
+        let groups = prime_groups();
+        // The groups tile the table in order.
+        assert_eq!(groups.first().unwrap().primes.start, 0);
+        assert_eq!(groups.last().unwrap().primes.end, primes.len());
+        for pair in groups.windows(2) {
+            assert_eq!(pair[0].primes.end, pair[1].primes.start);
+        }
+        for g in groups {
+            assert_eq!(primes[g.primes.clone()].iter().product::<u64>(), g.product);
+        }
+
+        // Per-prime oracle: the table walk trial division did before.
+        fn per_prime(n: &BigUint) -> Option<bool> {
+            for &p in small_primes() {
+                match n.cmp_ref(&BigUint::from_u64(p)) {
+                    std::cmp::Ordering::Less => return Some(false),
+                    std::cmp::Ordering::Equal => return Some(true),
+                    std::cmp::Ordering::Greater => {}
+                }
+                if n.div_rem_u64(p).1 == 0 {
+                    return Some(false);
+                }
+            }
+            None
+        }
+        let mut rng = HmacDrbg::from_seed_u64(0x7D1);
+        let mut cases: Vec<BigUint> = (2..5000u64).map(n).collect();
+        for bits in [64usize, 65, 128, 256, 512, 1024] {
+            for _ in 0..400 {
+                let mut c = BigUint::random_bits(&mut rng, bits);
+                c.set_bit(0);
+                cases.push(c);
+            }
+        }
+        // Products of small primes times large cofactors, and prime squares.
+        cases.push(n(1999 * 1999));
+        cases.push(n(1997).mul(&BigUint::one().shl(200).add_u64(1)));
+        for c in &cases {
+            assert_eq!(trial_division(c), per_prime(c), "n = {c}");
+            for &p in &primes[..20] {
+                assert_eq!(rem_u64(c, p), c.div_rem_u64(p).1, "n = {c}, p = {p}");
+            }
         }
     }
 

@@ -19,10 +19,9 @@ pub struct Sha1 {
 impl Sha1 {
     /// One-shot convenience digest.
     pub fn digest(data: &[u8]) -> [u8; 20] {
-        let out = <Self as Digest>::hash(data);
-        let mut arr = [0u8; 20];
-        arr.copy_from_slice(&out);
-        arr
+        let mut h = <Self as Digest>::new();
+        h.update(data);
+        h.finalize()
     }
 
     fn compress(&mut self, block: &[u8]) {
@@ -72,6 +71,7 @@ impl Digest for Sha1 {
     const OUTPUT_LEN: usize = 20;
     const BLOCK_LEN: usize = 64;
     const NAME: &'static str = "SHA-1";
+    type Output = [u8; 20];
 
     fn new() -> Self {
         Sha1 {
@@ -106,7 +106,7 @@ impl Digest for Sha1 {
         }
     }
 
-    fn finalize_vec(mut self) -> Vec<u8> {
+    fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.total_len.wrapping_mul(8);
         let mut pad = Vec::with_capacity(72);
         pad.push(0x80);
@@ -115,9 +115,9 @@ impl Digest for Sha1 {
         pad.extend(std::iter::repeat_n(0u8, zeros));
         pad.extend_from_slice(&bit_len.to_be_bytes());
         self.update_no_count(&pad);
-        let mut out = Vec::with_capacity(20);
-        for s in self.state {
-            out.extend_from_slice(&s.to_be_bytes());
+        let mut out = [0u8; 20];
+        for (chunk, s) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&s.to_be_bytes());
         }
         out
     }

@@ -1,8 +1,14 @@
 //! SHA-256 (FIPS 180-4).
+//!
+//! The compression function has two implementations with identical output:
+//! the portable `compress_scalar` and, on x86-64 CPUs with the SHA
+//! extensions, the SHA-NI compress in `sha256_ni`. `compress` picks one per
+//! call from the CPU's reported features.
 
 use crate::digest::Digest;
 
-const K: [u32; 64] = [
+/// Round constants.
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -31,22 +37,27 @@ impl Sha256 {
     pub fn digest(data: &[u8]) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update(data);
-        let out = h.finalize_vec();
-        let mut arr = [0u8; 32];
-        arr.copy_from_slice(&out);
-        arr
+        h.finalize()
     }
+}
 
-    fn compress(&mut self, block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
+/// Compresses whole 64-byte `blocks` into `state`, with SHA-NI when the CPU
+/// has it and the scalar rounds otherwise.
+pub(crate) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_ni::available() {
+        return crate::sha256_ni::compress(state, blocks);
+    }
+    compress_scalar(state, blocks);
+}
+
+/// The portable compression function, one block at a time.
+pub(crate) fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert!(blocks.len().is_multiple_of(64));
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -54,7 +65,7 @@ impl Sha256 {
             w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -71,14 +82,9 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -86,6 +92,7 @@ impl Digest for Sha256 {
     const OUTPUT_LEN: usize = 32;
     const BLOCK_LEN: usize = 64;
     const NAME: &'static str = "SHA-256";
+    type Output = [u8; 32];
 
     fn new() -> Self {
         Sha256 { state: H0, buf: [0u8; 64], buf_len: 0, total_len: 0 }
@@ -99,15 +106,14 @@ impl Digest for Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block);
-            data = rest;
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            compress(&mut self.state, &data[..whole]);
+            data = &data[whole..];
         }
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
@@ -115,29 +121,22 @@ impl Digest for Sha256 {
         }
     }
 
-    fn finalize_vec(mut self) -> Vec<u8> {
+    fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        let mut pad = Vec::with_capacity(72);
-        pad.push(0x80);
-        let rem = (self.buf_len + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        pad.extend(std::iter::repeat_n(0u8, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        self.update_no_count(&pad);
-        let mut out = Vec::with_capacity(32);
-        for s in self.state {
-            out.extend_from_slice(&s.to_be_bytes());
+        // The buffered tail, 0x80, zeros and the 64-bit length fill one
+        // block, or two when fewer than nine bytes of the first are free.
+        let mut pad = [0u8; 128];
+        let n = self.buf_len;
+        pad[..n].copy_from_slice(&self.buf[..n]);
+        pad[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        pad[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &pad[..len]);
+        let mut out = [0u8; 32];
+        for (chunk, s) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&s.to_be_bytes());
         }
         out
-    }
-}
-
-impl Sha256 {
-    /// `update` without advancing the message length (padding only).
-    fn update_no_count(&mut self, data: &[u8]) {
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
     }
 }
 
@@ -176,6 +175,74 @@ mod tests {
             hex(&h.finalize_vec()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    /// One-shot digest through a chosen compress function.
+    fn digest_with(compress: Compress, data: &[u8]) -> String {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, &msg);
+        hex(&state.iter().flat_map(|w| w.to_be_bytes()).collect::<Vec<_>>())
+    }
+
+    /// The compress functions this CPU can run: scalar always, SHA-NI when
+    /// present.
+    fn compressors() -> Vec<(&'static str, Compress)> {
+        let mut out: Vec<(&'static str, Compress)> = vec![("scalar", compress_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha256_ni::available() {
+            out.push(("sha-ni", crate::sha256_ni::compress));
+        }
+        out
+    }
+
+    #[test]
+    fn every_compress_path_passes_the_fips_vectors() {
+        let million_a = vec![b'a'; 1_000_000];
+        for (name, compress) in compressors() {
+            assert_eq!(
+                digest_with(compress, b"abc"),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+                "{name}"
+            );
+            assert_eq!(
+                digest_with(compress, &million_a),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn sha_ni_compress_matches_scalar_on_random_blocks() {
+        use crate::drbg::{HmacDrbg, RandomSource};
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha256_ni::available() {
+            let mut rng = HmacDrbg::from_seed_u64(0x5A_256);
+            for blocks in [1usize, 2, 3, 7, 16] {
+                for _ in 0..64 {
+                    let mut data = vec![0u8; 64 * blocks];
+                    rng.fill_bytes(&mut data);
+                    let mut state = [0u32; 8];
+                    for w in state.iter_mut() {
+                        *w = rng.next_u64() as u32;
+                    }
+                    let mut ni = state;
+                    compress_scalar(&mut state, &data);
+                    crate::sha256_ni::compress(&mut ni, &data);
+                    assert_eq!(ni, state, "{blocks} blocks");
+                }
+            }
+            return;
+        }
+        eprintln!("SHA-NI not available on this CPU; only the scalar path ran");
     }
 
     #[test]

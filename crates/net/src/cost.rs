@@ -48,6 +48,7 @@ pub struct CostMeter {
     bytes_down: AtomicU64,
     round_trips: AtomicU64,
     crypto_ns: AtomicU64,
+    crypto_ops: AtomicU64,
     other_ns: AtomicU64,
     retries: AtomicU64,
     reconnects: AtomicU64,
@@ -65,6 +66,8 @@ pub struct CostSample {
     pub round_trips: u64,
     /// Nanoseconds spent in cryptographic operations.
     pub crypto_ns: u64,
+    /// Timed crypto sections charged (one per [`CostMeter::charge_crypto_ns`]).
+    pub crypto_ops: u64,
     /// Nanoseconds spent in other local processing.
     pub other_ns: u64,
     /// Requests re-sent by the resilience layer after a retryable failure.
@@ -83,6 +86,7 @@ impl CostSample {
             bytes_down: self.bytes_down.saturating_sub(earlier.bytes_down),
             round_trips: self.round_trips.saturating_sub(earlier.round_trips),
             crypto_ns: self.crypto_ns.saturating_sub(earlier.crypto_ns),
+            crypto_ops: self.crypto_ops.saturating_sub(earlier.crypto_ops),
             other_ns: self.other_ns.saturating_sub(earlier.other_ns),
             retries: self.retries.saturating_sub(earlier.retries),
             reconnects: self.reconnects.saturating_sub(earlier.reconnects),
@@ -97,6 +101,7 @@ impl CostSample {
             bytes_down: self.bytes_down + other.bytes_down,
             round_trips: self.round_trips + other.round_trips,
             crypto_ns: self.crypto_ns + other.crypto_ns,
+            crypto_ops: self.crypto_ops + other.crypto_ops,
             other_ns: self.other_ns + other.other_ns,
             retries: self.retries + other.retries,
             reconnects: self.reconnects + other.reconnects,
@@ -142,9 +147,10 @@ impl CostMeter {
         wire_metrics().faults.inc();
     }
 
-    /// Adds already-measured crypto time.
+    /// Adds already-measured time of one crypto section.
     pub fn charge_crypto_ns(&self, ns: u64) {
         self.crypto_ns.fetch_add(ns, Ordering::Relaxed);
+        self.crypto_ops.fetch_add(1, Ordering::Relaxed);
         wire_metrics().crypto_ns.add(ns);
     }
 
@@ -177,6 +183,7 @@ impl CostMeter {
             bytes_down: self.bytes_down.load(Ordering::Relaxed),
             round_trips: self.round_trips.load(Ordering::Relaxed),
             crypto_ns: self.crypto_ns.load(Ordering::Relaxed),
+            crypto_ops: self.crypto_ops.load(Ordering::Relaxed),
             other_ns: self.other_ns.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
@@ -190,6 +197,7 @@ impl CostMeter {
         self.bytes_down.store(0, Ordering::Relaxed);
         self.round_trips.store(0, Ordering::Relaxed);
         self.crypto_ns.store(0, Ordering::Relaxed);
+        self.crypto_ops.store(0, Ordering::Relaxed);
         self.other_ns.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
         self.reconnects.store(0, Ordering::Relaxed);
@@ -212,6 +220,7 @@ mod tests {
         assert_eq!(s.bytes_down, 202);
         assert_eq!(s.round_trips, 2);
         assert_eq!(s.crypto_ns, 500);
+        assert_eq!(s.crypto_ops, 1);
     }
 
     #[test]
@@ -252,6 +261,7 @@ mod tests {
             bytes_down: 2,
             round_trips: 3,
             crypto_ns: 4,
+            crypto_ops: 9,
             other_ns: 5,
             retries: 6,
             reconnects: 7,
